@@ -43,20 +43,10 @@
  *     permanent registry cost) and on (ring-buffered round/unit
  *     spans); the delta is the observability tax and must stay under
  *     2% (docs/OBSERVABILITY.md);
- *  9. cross-session co-scheduling + windowed decode — (a) serving
- *     traces through the ContinuousBatcher with the per-session
- *     nested fan-out vs the global round co-scheduler at slots=8 /
- *     layers=2 / threads=8, two rows: a scheduling-bound shape
- *     (near-free units, so the wall ratio isolates the fan-out
- *     machinery — the co <= 0.6x acceptance row) and the
- *     examples/batch_serving shape (compute-bound; the bubble-ratio
- *     contrast, whose `bubble_ratio_coscheduled` is the committed
- *     baseline the telemetry CI job gates batch_serving runs
- *     against); both rows assert the bit-identical checksum match;
- *     and (b) the window-aware decode scan order — per-token decode
- *     cost of a layer under a sink+recency retention window at
- *     context 4096 vs 16384, which must stay flat (the scan and its
- *     scratch clearing are O(window), not O(context)).
+ *  9. windowed decode — per-token decode cost of a layer under a
+ *     sink+recency retention window at context 4096 vs 16384, which
+ *     must stay flat (the scan order and its scratch clearing are
+ *     O(window), not O(context)).
  *
  * Flags: --quick (CI smoke: fewer/smaller points), --reps=N best-of
  * repetitions (default 3), --out=FILE (default BENCH_perf.json),
@@ -207,7 +197,7 @@ struct GqaDecodeCost
  * Per-token decode cost of one whole layer: prefill ctx tokens
  * (untimed), then time `steps` rounds of KV append + grouped decode
  * across every head, best of `reps` fresh engines. An enabled
- * @p retention policy windows the decode scan (section 9b measures
+ * @p retention policy windows the decode scan (section 9 measures
  * its context-independence with it).
  */
 GqaDecodeCost
@@ -881,172 +871,11 @@ main(int argc, char **argv)
     }
 
     // ------------------------------------------------------------------
-    // 9. Cross-session co-scheduling + windowed decode: (a) one
-    //    serving trace through the per-session nested fan-out vs the
-    //    global round co-scheduler at slots=8 / layers=2 / threads=8
-    //    — wall, bubble ratio both ways (same counters, so the two
-    //    figures are directly comparable), bit-identical checksums;
-    //    (b) windowed decode cost at context 4096 vs 16384 under a
-    //    64-sink / 512-recency window — flat, because the scan order
-    //    and its scratch clearing are O(window).
+    // 9. Windowed decode: per-token cost at context 4096 vs 16384
+    //    under a 64-sink / 512-recency window — flat, because the scan
+    //    order and its scratch clearing are O(window).
     // ------------------------------------------------------------------
-    std::printf("\n[9/9] co-scheduling (slots=8, layers=2, threads=8) "
-                "+ windowed decode\n");
-    {
-        // Two A/B rows, both at slots=8 / layers=2 / threads=8:
-        //
-        //  - scheduling_bound: units deliberately near-free (eight
-        //    dim-4 heads, 2-bit keys, a 16-token retention window
-        //    keeping every decode scan O(window)) so the row isolates
-        //    the fan-out machinery itself — per-session mode pays one
-        //    nested parallelFor per engine round per session plus an
-        //    8-wide KV-head reduction fan-out per unit, the
-        //    co-scheduler one hardware-clamped wave per global round.
-        //    This is the wall-clock acceptance row (co <= 0.6x
-        //    per-session).
-        //  - serving: the exact examples/batch_serving trace and
-        //    geometry, where compute dominates and the wall gap
-        //    narrows, but the per-session schedule strands the lanes
-        //    it asks for whenever few sessions are resident — the
-        //    bubble-ratio contrast. `bubble_ratio_coscheduled` of
-        //    this row is the committed baseline the telemetry CI job
-        //    gates batch_serving --slots 8 --layers 2 --threads 8
-        //    runs against.
-        struct CoschedShape
-        {
-            const char *name;
-            TraceSpec ts;
-            BatcherOptions opt;
-            /** Reps beyond the global --reps for this row. The
-             *  scheduling-bound row is cheap (~100 ms/arm) and its
-             *  ratio IS the acceptance figure, so it buys extra
-             *  noise suppression. */
-            int extra_reps = 0;
-        };
-        std::vector<CoschedShape> shapes;
-        {
-            CoschedShape sched;
-            sched.name = "scheduling_bound";
-            sched.ts.num_requests = quick ? 16 : 32;
-            sched.ts.rate_per_s = 4000.0;
-            sched.ts.prompt_min = 8;
-            sched.ts.prompt_max = 16;
-            sched.ts.decode_min = quick ? 64 : 128;
-            sched.ts.decode_max = quick ? 128 : 256;
-            sched.ts.seed = 777;
-            sched.opt.prefill_chunk = 8;
-            // Many tiny KV heads: per-session mode pays its nested
-            // KV-head reduction fan-out 8 lanes wide per unit while
-            // the unit's compute (8 x dim-4 2-bit rows over a
-            // 16-token window) stays near-free — the geometry that
-            // maximizes scheduling overhead per unit of work.
-            sched.opt.heads = 8;
-            sched.opt.kv_heads = 8;
-            sched.opt.head_dim = 4;
-            sched.opt.bits = 2;
-            sched.opt.page_tokens = 16;
-            sched.opt.retention.sink_tokens = 4;
-            sched.opt.retention.recency_tokens = 12;
-            sched.extra_reps = 5;
-            shapes.push_back(sched);
-
-            CoschedShape serving;
-            serving.name = "serving";
-            serving.ts.num_requests = quick ? 12 : 24;
-            serving.ts.rate_per_s = 200.0;
-            serving.ts.prompt_min = 64;
-            serving.ts.prompt_max = 512;
-            serving.ts.decode_min = 8;
-            serving.ts.decode_max = 48;
-            serving.ts.prefix_groups = 2;
-            serving.ts.prefix_tokens = 128;
-            serving.ts.seed = 42;
-            serving.opt.prefill_chunk = 128;
-            serving.opt.heads = 1;
-            serving.opt.kv_heads = 1;
-            serving.opt.head_dim = 64;
-            serving.opt.page_tokens = 64;
-            serving.opt.prefix_cache = true;
-            shapes.push_back(serving);
-        }
-
-        Table t9a;
-        t9a.header({"shape", "per-session ms", "co-scheduled ms",
-                    "co/per", "bubble per", "bubble co"});
-        json.openArray("coschedule");
-        for (CoschedShape &shape : shapes) {
-            shape.opt.threads = 8;
-            shape.opt.max_active = 8;
-            shape.opt.layers = 2;
-            const std::vector<ServingRequest> trace =
-                poissonArrivalTrace(shape.ts);
-
-            // Interleaved A/B reps (per, co, per, co, ...): a noisy
-            // window on the host — throttling, a neighbor VM — lands
-            // on both arms instead of whichever happened to run
-            // inside it. Best-of per arm, keeping the fastest run's
-            // report (its bubble ratio is the least noise-polluted).
-            ServingReport per;
-            ServingReport co;
-            double per_ms = 0.0;
-            double co_ms = 0.0;
-            const int ab_reps = std::max(1, reps) + shape.extra_reps;
-            for (int r = 0; r < ab_reps; r++) {
-                shape.opt.coschedule = false;
-                const ServingReport p =
-                    ContinuousBatcher(shape.opt).run(trace);
-                shape.opt.coschedule = true;
-                const ServingReport c =
-                    ContinuousBatcher(shape.opt).run(trace);
-                if (r == 0 || p.wall_ms < per_ms) {
-                    per_ms = p.wall_ms;
-                    per = p;
-                }
-                if (r == 0 || c.wall_ms < co_ms) {
-                    co_ms = c.wall_ms;
-                    co = c;
-                }
-            }
-            checksum += static_cast<int64_t>(co.checksum & 0xffff);
-
-            const bool match = per.checksum == co.checksum &&
-                per.prefill_checksum == co.prefill_checksum &&
-                per.peak_cache_bytes == co.peak_cache_bytes;
-            if (!match)
-                std::fprintf(stderr,
-                             "co-scheduler changed outputs (BUG)\n");
-            t9a.row({shape.name, Table::num(per_ms, 1),
-                     Table::num(co_ms, 1),
-                     Table::num(co_ms / per_ms, 2),
-                     Table::num(per.pipeline_bubble_ratio, 3),
-                     Table::num(co.pipeline_bubble_ratio, 3)});
-
-            json.openObject();
-            json.str("shape", shape.name);
-            json.field("requests",
-                       static_cast<int64_t>(trace.size()));
-            json.field("slots",
-                       static_cast<int64_t>(shape.opt.max_active));
-            json.field("layers",
-                       static_cast<int64_t>(shape.opt.layers));
-            json.field("threads",
-                       static_cast<int64_t>(shape.opt.threads));
-            json.field("per_session_wall_ms", per_ms);
-            json.field("coscheduled_wall_ms", co_ms);
-            json.field("speedup_co_vs_per_session", per_ms / co_ms);
-            json.field("wall_ratio_co_vs_per_session",
-                       co_ms / per_ms);
-            json.field("bubble_ratio_per_session",
-                       per.pipeline_bubble_ratio);
-            json.field("bubble_ratio_coscheduled",
-                       co.pipeline_bubble_ratio);
-            json.field("checksum_match",
-                       std::string(match ? "true" : "false"));
-            json.close();
-        }
-        json.close(true);
-        t9a.print();
-    }
+    std::printf("\n[9/9] windowed decode (64 sink + 512 recency)\n");
     {
         RetentionPolicy rp;
         rp.sink_tokens = 64;
@@ -1058,9 +887,9 @@ main(int argc, char **argv)
         t9.header({"ctx", "window", "decode us/tok"});
         json.openArray("windowed_decode");
         // Interleave the two contexts across reps (4k, 16k, 4k, ...)
-        // for the same reason section 9a interleaves its arms: the
-        // flatness ratio must compare like conditions, not whichever
-        // context drew the quiet window.
+        // so a noisy window on the host lands on both: the flatness
+        // ratio must compare like conditions, not whichever context
+        // drew the quiet window.
         const int ctxs[2] = {4096, 16384};
         double best_us[2] = {0.0, 0.0};
         for (int r = 0; r < std::max(1, reps); r++) {

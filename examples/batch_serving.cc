@@ -7,16 +7,11 @@
  * prefixes, so later arrivals adopt the pages earlier ones built).
  *
  *   $ ./batch_serving [--requests 24] [--rate 200] [--slots 4]
- *                     [--threads 0] [--layers 1]
- *                     [--coschedule on|off] [--seed 42]
+ *                     [--threads 0] [--layers 1] [--seed 42]
  *                     [--trace out.json] [--stats stats.json]
  *
- * --coschedule off falls back to the per-session nested fan-out (one
- * parallelFor per session per engine round) instead of the default
- * cross-session round co-scheduler; outputs are bit-identical either
- * way, only scheduling (and the bubble ratio in --stats) changes.
- * --layers deepens each session's pipeline, which is what gives the
- * co-scheduler units to merge.
+ * --layers deepens each session's pipeline, which is what gives each
+ * wave more units to run at once.
  *
  * The same trace is served twice — on 1 worker and on all cores — to
  * show that (a) every decoded token AND every scored prefill output
@@ -59,7 +54,6 @@ main(int argc, char **argv)
     const int slots = static_cast<int>(cli.getInt("slots", 4));
     const int threads = static_cast<int>(cli.getInt("threads", 0));
     const int layers = static_cast<int>(cli.getInt("layers", 1));
-    const bool coschedule = cli.get("coschedule", "on") != "off";
     const uint64_t seed =
         static_cast<uint64_t>(cli.getInt("seed", 42));
     const std::string trace_file = cli.get("trace", "");
@@ -92,7 +86,6 @@ main(int argc, char **argv)
     opt.page_tokens = 64;
     opt.prefix_cache = true;
     opt.layers = layers;
-    opt.coschedule = coschedule;
 
     opt.threads = 1;
     const ServingReport seq = ContinuousBatcher(opt).run(trace);

@@ -14,39 +14,8 @@ std::vector<int>
 istaScanOrder(int seq_len, int tile, bool head_tail)
 {
     std::vector<int> order;
-    istaScanOrderInto(seq_len, tile, head_tail, order);
+    istaScanOrderInto(seq_len, tile, head_tail, 0, 0, order);
     return order;
-}
-
-void
-istaScanOrderInto(int seq_len, int tile, bool head_tail,
-                  std::vector<int> &out)
-{
-    assert(tile > 0);
-    const int num_tiles = (seq_len + tile - 1) / tile;
-    out.clear();
-    out.reserve(seq_len);
-    const auto pushTile = [&](int t) {
-        const int lo = t * tile;
-        const int hi = std::min(seq_len, lo + tile);
-        for (int j = lo; j < hi; j++)
-            out.push_back(j);
-    };
-    if (!head_tail) {
-        for (int t = 0; t < num_tiles; t++)
-            pushTile(t);
-        return;
-    }
-    // headTailOrder()'s interleave, walked directly so this path is
-    // genuinely allocation-free once `out` has capacity (the decode
-    // engine's per-token contract).
-    int head = 0;
-    int tail = num_tiles - 1;
-    bool take_head = true;
-    while (head <= tail) {
-        pushTile(take_head ? head++ : tail--);
-        take_head = !take_head;
-    }
 }
 
 void
@@ -80,10 +49,11 @@ istaScanOrderInto(int seq_len, int tile, bool head_tail,
             pushTile(t);
         return;
     }
-    // Same alternating cursor walk as the full order so live tiles
-    // appear in identical relative order; dead tiles are skipped, and
-    // once both cursors sit in the dead middle nothing further can be
-    // emitted.
+    // headTailOrder()'s interleave, walked directly so the order stays
+    // allocation-free once `out` has capacity (the decode engine's
+    // per-step contract). Live tiles keep their relative order, dead
+    // tiles are skipped, and once both cursors sit in the dead middle
+    // nothing further can be emitted.
     int head = 0;
     int tail = num_tiles - 1;
     bool take_head = true;

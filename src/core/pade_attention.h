@@ -152,24 +152,17 @@ struct PadeResult
 std::vector<int> istaScanOrder(int seq_len, int tile, bool head_tail);
 
 /**
- * istaScanOrder() written into a reusable buffer — the form the
- * incremental decode engine calls once per step, so the order vector
- * stops allocating after the first step at a given context length.
- */
-void istaScanOrderInto(int seq_len, int tile, bool head_tail,
-                       std::vector<int> &out);
-
-/**
- * Live-range overload for retention-windowed decode: the scan order
- * restricted to a StreamingLLM live set — keys j with
- * j < @p sink_tokens or j >= @p window_start — emitted as exactly the
- * subsequence of istaScanOrder(seq_len, tile, head_tail) those keys
- * form. A windowed scan is therefore bit-identical to walking the
- * full order with a per-key liveness skip, while generation costs
- * O(live keys + live tiles) instead of O(seq_len): dead middle tiles
- * are never visited (the head/tail walk stops once both cursors sit
- * in the dead range). window_start <= 0 (nothing evictable yet)
- * reproduces the full order verbatim.
+ * istaScanOrder() restricted to a StreamingLLM live set — keys j with
+ * j < @p sink_tokens or j >= @p window_start — and written into a
+ * reusable buffer, the form the incremental decode engine calls once
+ * per step (the vector stops allocating after the first step at a
+ * given context length). Emits exactly the subsequence of the full
+ * order those keys form, so a windowed scan is bit-identical to
+ * walking the full order with a per-key liveness skip, while
+ * generation costs O(live keys + live tiles) instead of O(seq_len):
+ * dead middle tiles are never visited (the head/tail walk stops once
+ * both cursors sit in the dead range). window_start <= 0 (nothing
+ * evictable yet) reproduces the full order verbatim.
  */
 void istaScanOrderInto(int seq_len, int tile, bool head_tail,
                        int sink_tokens, int window_start,

@@ -47,45 +47,16 @@ poolQueueDepth()
     return g;
 }
 
-// Depth, not flag: a help-draining parallelFor waiter can nest (its
-// stolen task runs another parallelFor that steals again), and the
-// outer frame must still read as "in a task" when the inner one pops.
-thread_local int g_pool_task_depth = 0;
-
-/** Scoped busy_/task-depth bracket around one task execution. */
-class TaskScope
-{
-  public:
-    explicit TaskScope(std::atomic<int> &busy) : busy_(busy)
-    {
-        busy_.fetch_add(1, std::memory_order_relaxed);
-        g_pool_task_depth++;
-    }
-    ~TaskScope()
-    {
-        g_pool_task_depth--;
-        busy_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    TaskScope(const TaskScope &) = delete;
-    TaskScope &operator=(const TaskScope &) = delete;
-
-  private:
-    std::atomic<int> &busy_;
-};
-
 } // namespace
-
-bool
-ThreadPool::inTask()
-{
-    return g_pool_task_depth > 0;
-}
 
 int
 ThreadPool::hardwareThreads()
 {
-    return static_cast<int>(
+    // Detected once: hardware_concurrency() reads sysfs on every call
+    // (about 5 us on Linux), and every wave asks.
+    static const int n = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
+    return n;
 }
 
 ThreadPool::ThreadPool(int threads)
@@ -147,7 +118,6 @@ ThreadPool::tryRunOne()
     // otherwise run — the numerator of help-drain effectiveness.
     poolSteals().add(1);
     try {
-        const TaskScope scope(busy_);
         task();
     } catch (...) {
         // Same contract as workerLoop: failures surface through the
@@ -194,7 +164,6 @@ ThreadPool::workerLoop()
         }
         poolTasks().add(1);
         try {
-            const TaskScope scope(busy_);
             task();
         } catch (...) {
             // Task-level failures are reported through the caller's

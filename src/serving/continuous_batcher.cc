@@ -10,13 +10,12 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/thread_annotations.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "runtime/mutex.h"
 #include "runtime/thread_pool.h"
 #include "serving/model_engine.h"
 
@@ -139,41 +138,11 @@ struct Session
 };
 
 /**
- * Accounting shared by every session of one scheduling round. The
- * per-session step results are disjoint, but the round-wide resident
- * KV byte total is genuinely concurrent state: each worker folds its
- * session's bytesUsed() in as it finishes stepping, under the mutex.
- * size_t addition commutes, so the total is deterministic for any
- * thread count. Guarded members + MutexLock keep the access pattern
- * provable by -Wthread-safety and visible to TSan.
- */
-struct RoundAccounting
-{
-    Mutex mu;
-    /** Resident KV bytes summed over the round's sessions. */
-    std::size_t cache_bytes PADE_GUARDED_BY(mu) = 0;
-
-    void
-    add(std::size_t bytes) PADE_EXCLUDES(mu)
-    {
-        MutexLock lock(mu);
-        cache_bytes += bytes;
-    }
-    std::size_t
-    total() PADE_EXCLUDES(mu)
-    {
-        MutexLock lock(mu);
-        return cache_bytes;
-    }
-};
-
-/**
  * Unit 1 of every session: materialize its whole-model workload
  * (static quantization scales, prefix-pure rows; see ModelWorkload)
  * and pipelined engine, then adopt any prefix pages an earlier
- * session already published. Runs on a pool worker in both
- * scheduling modes; touches only the session and the (internally
- * mutex'd) prefix index.
+ * session already published. Runs on a pool worker; touches only the
+ * session and the (internally mutex'd) prefix index.
  */
 void
 materializeSession(Session &s, const BatcherOptions &opt,
@@ -262,8 +231,8 @@ materializeSession(Session &s, const BatcherOptions &opt,
 /**
  * Once a session's own prefix pages are complete, publish them for
  * later arrivals — unless the whole chain was adopted, in which case
- * the index already has them. Called right after the session's
- * prefilled count advances, in both scheduling modes.
+ * the index already has them. Called on the scheduler thread right
+ * after the session's prefilled count advances.
  */
 void
 maybePublishPrefix(Session &s, const BatcherOptions &opt,
@@ -305,270 +274,78 @@ feedRoundPositions(Session &s, const BatcherOptions &opt)
     return 0;
 }
 
-/**
- * Advance one session by one scheduling unit — the per-session
- * (non-co-scheduled) path. Runs on a pool worker; sessions touch
- * disjoint state, so the sharing surface is the pool itself (the
- * in-session fan-outs nest on it — parallelFor's caller work-stealing
- * keeps that deadlock-free) and the mutex-guarded round accounting.
- */
-void
-stepSession(Session &s, const BatcherOptions &opt, ThreadPool *pool,
-            RoundAccounting &round, PrefixIndex *index)
+/** Scratch reused across rounds: a trace runs thousands of them, and
+ *  re-allocating these small vectors every round is measurable
+ *  against microsecond units. */
+struct RoundScratch
 {
-    const ServingRequest &req = *s.req;
-    // Fold this session's resident bytes into the round total on the
-    // way out, whatever unit ran (including early returns below).
-    // Adopted prefix pages count once per adopter — the total is the
-    // bytes sessions *reference*, the saving is reported separately.
-    struct BytesOnExit
-    {
-        Session &s;
-        RoundAccounting &round;
-        ~BytesOnExit()
-        {
-            if (s.engine)
-                round.add(s.engine->bytesUsed());
-        }
-    } bytes_on_exit{s, round};
-
-    if (!s.engine) {
-        materializeSession(s, opt, index);
-        return;
-    }
-
-    if (s.prefilled < req.prompt_len) {
-        const obs::ScopedSpan span(
-            "batcher.prefill_chunk",
-            {{"request", static_cast<int64_t>(s.index)},
-             {"pos", s.prefilled}});
-        // Unit 2..k: one prefill chunk — feed the chunk's positions
-        // into the pipeline and drain it: appends and guarded causal
-        // scoring of up to `layers` positions overlap on the pool,
-        // bit-identical to the serial layer loop for any chunking
-        // (tile-by-tile over the ISTA order of the full prompt).
-        const int n = feedRoundPositions(s, opt);
-        s.engine->drain(pool);
-        s.prefilled += n;
-        maybePublishPrefix(s, opt, index);
-        return;
-    }
-
-    // Decode one token through every layer: append its KV rows, run
-    // the grouped guarded attention step over every (shared) cache,
-    // then let the retention policy reclaim aged-out pages.
-    const obs::ScopedSpan span(
-        "batcher.decode_token",
-        {{"request", static_cast<int64_t>(s.index)},
-         {"token", s.decoded}});
-    feedRoundPositions(s, opt);
-    s.engine->drain(pool);
-    s.decoded++;
-}
-
-// Global-round telemetry of the co-scheduler: the same
-// model.rounds / model.units / model.round_capacity_us counters
-// ModelEngine::advance() feeds in per-session mode, recorded once per
-// WAVE here because only the batcher knows the global round width.
-// (runCollectedUnit still records model.unit_busy_us per unit, so the
-// bubble ratio derivation is mode-independent.)
-struct WaveMetrics
-{
-    obs::Counter &rounds;
-    obs::Counter &units;
-    obs::Counter &round_capacity_us;
-
-    static WaveMetrics &
-    get()
-    {
-        static WaveMetrics m{
-            obs::Registry::instance().counter("model.rounds"),
-            obs::Registry::instance().counter("model.units"),
-            obs::Registry::instance().counter(
-                "model.round_capacity_us"),
-        };
-        return m;
-    }
-};
-
-/**
- * One co-scheduled batcher round: the same session-level schedule as
- * the per-session path — every active session advances by exactly one
- * unit (materialize, prefill chunk, or decode token) — but the engine
- * work is executed as global WAVES. Each wave opens one pipeline
- * round per engine with pending work (ModelEngine::collectUnits) and
- * runs the union of all their units through a single pool-wide
- * parallelFor; waves repeat until every engine has drained, exactly
- * like per-session drain() loops advance().
- *
- * Bit-identity with per-session scheduling, for any thread/slot
- * count: each engine sees exactly the round sequence its own drain()
- * would run (collectUnits admits identically, completeRound retires
- * identically, in feed order); units of one engine's round touch
- * disjoint layers (the PR 7 argument) and units of distinct sessions
- * touch disjoint sessions — so the flat wave list has no two units
- * sharing mutable state, and execution order cannot matter. All
- * post-unit bookkeeping (prefilled/decoded advance, prefix publish,
- * byte folding) happens on the scheduler thread at the same schedule
- * points the per-session path reaches them.
- */
-/** Scratch reused across coscheduleRound calls: the wave loop runs
- *  thousands of rounds per trace, and re-allocating its four small
- *  vectors every round is measurable against microsecond units. */
-struct CoscheduleScratch
-{
-    struct RoundPlan
-    {
-        Session *s;
-        int prefill_n; //!< prompt tokens fed (0 = decode token)
-    };
-    struct UnitRef
-    {
-        ModelEngine *engine;
-        int unit;
-    };
     std::vector<Session *> fresh;
-    std::vector<RoundPlan> plans;
-    std::vector<UnitRef> units;
-    std::vector<ModelEngine *> open;
+    /** Resident sessions with the prompt tokens each fed this round
+     *  (0 = a decode token). */
+    std::vector<std::pair<Session *, int>> fed;
+    std::vector<ModelEngine *> engines;
+    WaveRunner waves;
 };
 
-void
-coscheduleRound(std::vector<std::unique_ptr<Session>> &active,
-                const BatcherOptions &opt, ThreadPool &pool,
-                RoundAccounting &round, PrefixIndex *index,
-                CoscheduleScratch &scratch)
+/**
+ * One batcher round: every active session advances by exactly one
+ * unit — materialize, prefill chunk, or decode token. Fresh sessions
+ * materialize in one fan-out; resident sessions feed this round's
+ * positions, and their engines drain together through WaveRunner
+ * waves (one round per engine per wave, all units in one
+ * parallelFor). All bookkeeping runs on this, the scheduler, thread.
+ * Returns the resident KV bytes summed over the active sessions;
+ * adopted prefix pages count once per adopter (the saving is
+ * reported separately).
+ */
+std::size_t
+runRound(std::vector<std::unique_ptr<Session>> &active,
+         const BatcherOptions &opt, ThreadPool &pool, PrefixIndex *index,
+         RoundScratch &scratch)
 {
-    // Plan on the scheduler thread: fresh sessions owe a materialize
-    // unit; resident sessions feed this round's positions (cheap
-    // queue pushes) and owe pipeline units to the waves below.
-    using RoundPlan = CoscheduleScratch::RoundPlan;
-    using UnitRef = CoscheduleScratch::UnitRef;
-    std::vector<Session *> &fresh = scratch.fresh;
-    std::vector<RoundPlan> &plans = scratch.plans;
-    fresh.clear();
-    plans.clear();
-    fresh.reserve(active.size());
-    plans.reserve(active.size());
+    scratch.fresh.clear();
+    scratch.fed.clear();
+    scratch.engines.clear();
     for (const auto &sp : active) {
         Session &s = *sp;
         if (!s.engine) {
-            fresh.push_back(&s);
+            scratch.fresh.push_back(&s);
             continue;
         }
-        plans.push_back(RoundPlan{&s, feedRoundPositions(s, opt)});
+        scratch.fed.emplace_back(&s, feedRoundPositions(s, opt));
+        scratch.engines.push_back(&*s.engine);
     }
 
-    // Materialize the round's fresh sessions in one fan-out. Workload
-    // generation is not pipeline work, so it stays outside the wave
-    // loop and its capacity accounting — as in per-session mode.
-    if (!fresh.empty()) {
+    // Workload generation is not pipeline work, so it stays outside
+    // the waves and their capacity accounting.
+    if (!scratch.fresh.empty()) {
         const auto mat = [&](int i) {
-            materializeSession(*fresh[static_cast<std::size_t>(i)],
-                               opt, index);
+            materializeSession(
+                *scratch.fresh[static_cast<std::size_t>(i)], opt, index);
         };
-        if (pool.threadCount() > 1 && fresh.size() > 1)
-            parallelFor(pool, static_cast<int>(fresh.size()), mat);
+        if (pool.threadCount() > 1 && scratch.fresh.size() > 1)
+            parallelFor(pool, static_cast<int>(scratch.fresh.size()),
+                        mat);
         else
-            for (std::size_t i = 0; i < fresh.size(); i++)
+            for (std::size_t i = 0; i < scratch.fresh.size(); i++)
                 mat(static_cast<int>(i));
     }
 
-    // The waves. Per iteration: open one round per engine with
-    // pending work, run every collected unit in one parallelFor, then
-    // complete the rounds on this thread (ages/retirement — the sink
-    // calls — in session order, deterministically).
-    std::vector<UnitRef> &units = scratch.units;
-    std::vector<ModelEngine *> &open = scratch.open;
-    for (;;) {
-        units.clear();
-        open.clear();
-        for (const RoundPlan &p : plans) {
-            ModelEngine &e = *p.s->engine;
-            const int n = e.collectUnits();
-            if (n == 0)
-                continue;
-            open.push_back(&e);
-            for (int u = 0; u < n; u++)
-                units.push_back(UnitRef{&e, u});
-        }
-        const int total = static_cast<int>(units.size());
-        if (total == 0)
-            break;
-        {
-            const obs::ScopedSpan wave_span(
-                "model.round",
-                {{"flights", static_cast<int64_t>(total)},
-                 {"sessions",
-                  static_cast<int64_t>(open.size())}});
-            // Waves are fine-grained (one layer of one token per
-            // unit), so fan out only as wide as the HARDWARE can
-            // execute: an oversubscribed pool would wake sleeping
-            // workers for microsecond units and pay a context switch
-            // each — on a 1-core host the whole wave runs inline on
-            // this thread instead. Pure scheduling choice; unit
-            // outputs are order-independent within a wave (disjoint
-            // sessions/layers), so this cannot perturb results.
-            const int lanes = std::min(pool.threadCount(),
-                                       ThreadPool::hardwareThreads());
-            // Nested KV-head fan-out only helps while the wave itself
-            // undersubscribes those lanes; saturated waves run their
-            // units' reductions inline. A function of the wave shape
-            // only — outputs are bit-identical either way (the
-            // parallelReduceOrdered contract), so this cannot perturb
-            // results, only overhead.
-            ThreadPool *nested = total < lanes ? &pool : nullptr;
-            const auto unit = [&](int i) {
-                const UnitRef &u =
-                    units[static_cast<std::size_t>(i)];
-                u.engine->runCollectedUnit(u.unit, nested);
-            };
-            const auto t0 = std::chrono::steady_clock::now();
-            if (lanes > 1 && total > 1)
-                parallelFor(pool, total, unit);
-            else
-                for (int i = 0; i < total; i++)
-                    unit(i);
-            if constexpr (obs::kTelemetryEnabled) {
-                WaveMetrics &m = WaveMetrics::get();
-                m.rounds.add(1);
-                m.units.add(static_cast<uint64_t>(total));
-                const auto wall_us = static_cast<uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
-                // Wave width: lanes the hardware could really fill —
-                // an oversubscribed pool (threads > cores) cannot
-                // compute more than `cores` unit-seconds per second,
-                // and charging phantom lanes as idle capacity would
-                // inflate the bubble ratio on small hosts.
-                const int width = std::min(
-                    {pool.threadCount(),
-                     ThreadPool::hardwareThreads(), total});
-                m.round_capacity_us.add(
-                    static_cast<uint64_t>(width) * wall_us);
-            }
-        }
-        for (ModelEngine *e : open)
-            e->completeRound();
-    }
+    scratch.waves.drain(scratch.engines, &pool);
 
-    // Post-round bookkeeping at the same schedule point the
-    // per-session path reaches after its unit, then the byte fold
-    // (scheduler-thread sequential — RoundAccounting still commutes,
-    // so the total matches per-session mode exactly).
-    for (const RoundPlan &p : plans) {
-        if (p.prefill_n > 0) {
-            p.s->prefilled += p.prefill_n;
-            maybePublishPrefix(*p.s, opt, index);
+    for (const auto &[s, prompt_fed] : scratch.fed) {
+        if (prompt_fed > 0) {
+            s->prefilled += prompt_fed;
+            maybePublishPrefix(*s, opt, index);
         } else {
-            p.s->decoded++;
+            s->decoded++;
         }
     }
+    std::size_t bytes = 0;
     for (const auto &sp : active)
         if (sp->engine)
-            round.add(sp->engine->bytesUsed());
+            bytes += sp->engine->bytesUsed();
+    return bytes;
 }
 
 } // namespace
@@ -628,7 +405,7 @@ ContinuousBatcher::run(std::span<const ServingRequest> trace) const
     int admit_seq = 0;
     double now_ms = 0.0;
 
-    CoscheduleScratch cosched_scratch;
+    RoundScratch scratch;
     std::vector<double> latency;
     std::vector<double> ttft;
     std::vector<double> tpot;
@@ -685,18 +462,9 @@ ContinuousBatcher::run(std::span<const ServingRequest> trace) const
             "batcher.round",
             {{"active", static_cast<int64_t>(active.size())},
              {"round", report.rounds}});
-        RoundAccounting round;
-        PrefixIndex *index = prefix_index ? &*prefix_index : nullptr;
-        if (opt_.coschedule) {
-            coscheduleRound(active, opt_, pool, round, index,
-                            cosched_scratch);
-        } else {
-            parallelFor(
-                pool, static_cast<int>(active.size()), [&](int i) {
-                    stepSession(*active[static_cast<std::size_t>(i)],
-                                opt_, &pool, round, index);
-                });
-        }
+        const std::size_t cache_bytes = runRound(
+            active, opt_, pool,
+            prefix_index ? &*prefix_index : nullptr, scratch);
         now_ms += opt_.fixed_round_ms >= 0.0
                       ? opt_.fixed_round_ms
                       : std::chrono::duration<double, std::milli>(
@@ -704,16 +472,13 @@ ContinuousBatcher::run(std::span<const ServingRequest> trace) const
                             .count();
         report.rounds++;
 
-        // Post-round bookkeeping on the scheduler thread. The round's
-        // KV byte total was folded in concurrently as sessions
-        // finished stepping (RoundAccounting); first-token times need
-        // the round-end virtual clock, so they stay here.
+        // First-token times need the round-end virtual clock.
         for (auto &s : active) {
             if (s->decoded >= 1 && s->first_token_ms < 0.0)
                 s->first_token_ms = now_ms;
         }
         report.peak_cache_bytes =
-            std::max(report.peak_cache_bytes, round.total());
+            std::max(report.peak_cache_bytes, cache_bytes);
 
         // Evict finished sessions: record the timeline, free the KV
         // pages, release the slot.

@@ -175,7 +175,7 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
             hs.planes.assign(static_cast<std::size_t>(order_len), 0);
             hs.keep.assign(static_cast<std::size_t>(order_len), 0);
         }
-        istaScanOrderInto(order_len, cfg_.tile_bc, cfg_.head_tail,
+        istaScanOrderInto(order_len, cfg_.tile_bc, cfg_.head_tail, 0, 0,
                           order_);
     } else {
         for (int gi = 0; gi < g; gi++) {

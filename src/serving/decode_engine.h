@@ -91,9 +91,9 @@ namespace pade {
  * checks, and PlaneWork accounting that dominate per-token cost.
  *
  * Iteration is windowed too: when the policy is active, each step
- * generates only the live subsequence of the ISTA scan order (the
- * sink/recency overload of istaScanOrderInto()) and clears only the
- * scratch entries its previous step wrote, so per-token cost is
+ * generates only the live subsequence of the ISTA scan order
+ * (istaScanOrderInto() over the policy's live range) and clears only
+ * the scratch entries its previous step wrote, so per-token cost is
  * O(sink + recency) regardless of context length — the dead middle
  * costs nothing, not even a skip test or memset. The windowed order
  * is the exact subsequence the full order's per-key window skip

@@ -13,14 +13,14 @@ namespace pade {
 
 namespace {
 
-// Pipeline-utilization telemetry (ROADMAP item 2, now observable):
-// every pipelined round records the wall time the *width* of the
-// round could have used (min(pool threads, flights) x round wall) and
-// the time its units actually computed. The bubble ratio of any
-// snapshot delta is then
+// Pipeline-utilization telemetry, all of it recorded by
+// WaveRunner::wave() and runCollectedUnit(). Each wave records the
+// lane time its width could have used (min(lanes, units) x wave
+// wall) and each pipelined unit the time it actually computed, so
+// the bubble ratio of any snapshot delta is
 //     1 - model.unit_busy_us / model.round_capacity_us
-// — 0 when every lane of every round was full, approaching 1 as the
-// pipeline starves (fill/drain phases, cores > flights).
+// — 0 when every lane of every wave was full, approaching 1 as the
+// waves starve (fill/drain phases, cores > units).
 struct ModelMetrics
 {
     obs::Counter &rounds;
@@ -223,62 +223,82 @@ ModelEngine::completeRound()
 bool
 ModelEngine::advance(ThreadPool *pool)
 {
-    const int n = collectUnits();
-    if (n == 0)
-        return false;
-    if (!cfg_.pipeline) {
-        runCollectedUnit(0, pool);
-        completeRound();
-        return true;
-    }
-
-    // The systolic round: every in-flight token at its own layer.
-    // Ages are pairwise distinct (strictly decreasing front to back),
-    // so the units touch disjoint engines/buffers — see file comment.
-    const obs::ScopedSpan round_span("model.round",
-                                     {{"flights", n}});
-    const bool fanout = pool && pool->threadCount() > 1 && n > 1;
-    int width = 1;
-    if constexpr (obs::kTelemetryEnabled) {
-        if (fanout) {
-            // Honest capacity width: workers this round can actually
-            // claim, not min(threads, n). When the pool is shared —
-            // the per-session batcher fans sessions over the same
-            // pool that runs these units — most workers are busy
-            // with OTHER sessions' rounds, and charging their time
-            // as idle capacity would overstate the bubble ratio.
-            // Subtract the occupants seen at round start (minus this
-            // caller's own slot when it runs inside a pool task).
-            const int busy_others = std::max(
-                0,
-                pool->busyWorkers() - (ThreadPool::inTask() ? 1 : 0));
-            width =
-                std::clamp(pool->threadCount() - busy_others, 1, n);
-        }
-    }
-    const auto round_t0 = std::chrono::steady_clock::now();
-    const auto unit = [&](int i) { runCollectedUnit(i, pool); };
-    if (fanout)
-        parallelFor(*pool, n, unit);
-    else
-        for (int i = 0; i < n; i++)
-            unit(i);
-    if constexpr (obs::kTelemetryEnabled) {
-        ModelMetrics &m = ModelMetrics::get();
-        m.rounds.add(1);
-        m.units.add(static_cast<uint64_t>(n));
-        m.round_capacity_us.add(
-            static_cast<uint64_t>(width) *
-            static_cast<uint64_t>(microsSince(round_t0)));
-    }
-    completeRound();
-    return true;
+    ModelEngine *const self = this;
+    return waves_.wave({&self, 1}, pool) > 0;
 }
 
 void
 ModelEngine::drain(ThreadPool *pool)
 {
     while (advance(pool)) {
+    }
+}
+
+int
+WaveRunner::wave(std::span<ModelEngine *const> engines, ThreadPool *pool)
+{
+    units_.clear();
+    int sessions = 0;
+    for (ModelEngine *e : engines) {
+        const int n = e->collectUnits();
+        if (n > 0)
+            sessions++;
+        for (int u = 0; u < n; u++)
+            units_.push_back(UnitRef{e, u});
+    }
+    const int total = static_cast<int>(units_.size());
+    if (total == 0)
+        return 0;
+    {
+        const obs::ScopedSpan span(
+            "model.round", {{"flights", static_cast<int64_t>(total)},
+                            {"sessions", sessions}});
+        // Units are fine-grained (one layer of one token), so fan out
+        // only as wide as the HARDWARE can execute: an oversubscribed
+        // pool would wake sleeping workers for microsecond units and
+        // pay a context switch each, and on a 1-core host the wave
+        // runs inline on this thread. The nested KV-head fan-out only
+        // helps while the wave undersubscribes those lanes. Both are
+        // functions of the wave shape, and units of one wave are
+        // order-independent (parallelReduceOrdered inside), so
+        // neither can perturb outputs.
+        const int lanes =
+            pool ? std::min(pool->threadCount(),
+                            ThreadPool::hardwareThreads())
+                 : 1;
+        ThreadPool *nested = total < lanes ? pool : nullptr;
+        const auto unit = [&](int i) {
+            const UnitRef &u = units_[static_cast<std::size_t>(i)];
+            u.engine->runCollectedUnit(u.unit, nested);
+        };
+        const auto t0 = std::chrono::steady_clock::now();
+        if (lanes > 1 && total > 1)
+            parallelFor(*pool, total, unit);
+        else
+            for (int i = 0; i < total; i++)
+                unit(i);
+        if constexpr (obs::kTelemetryEnabled) {
+            ModelMetrics &m = ModelMetrics::get();
+            m.rounds.add(1);
+            m.units.add(static_cast<uint64_t>(total));
+            // Capacity is charged only for lanes the hardware could
+            // really fill: an oversubscribed pool cannot compute more
+            // than `cores` unit-seconds per second.
+            m.round_capacity_us.add(
+                static_cast<uint64_t>(std::min(lanes, total)) *
+                static_cast<uint64_t>(microsSince(t0)));
+        }
+    }
+    for (ModelEngine *e : engines)
+        if (e->round_open_)
+            e->completeRound();
+    return total;
+}
+
+void
+WaveRunner::drain(std::span<ModelEngine *const> engines, ThreadPool *pool)
+{
+    while (wave(engines, pool) > 0) {
     }
 }
 

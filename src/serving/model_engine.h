@@ -50,15 +50,16 @@
  * Shared pages carry their cached PlaneWork and BitPlaneSet revision,
  * so every adopter scores them through the same plane tables.
  *
- * Thread safety: none at the class surface — one session advances
- * from one caller thread (the batcher steps each session from a
- * single worker per round); internal fan-outs own their barriers.
- * The collectUnits()/runCollectedUnit()/completeRound() split keeps
- * the same contract one level up: collect/complete run on the
- * scheduling thread, while runCollectedUnit() calls for DISTINCT
- * units of one open round may run concurrently (they touch disjoint
- * layers/buffers) — the seam ContinuousBatcher's cross-session
- * co-scheduler fans a whole fleet of sessions through.
+ * Rounds run as waves (WaveRunner, below): one wave opens a round on
+ * every engine of a span, runs all of their units in one parallelFor,
+ * then completes the rounds in span order. advance()/drain() are a
+ * one-engine wave; ContinuousBatcher passes every resident session's
+ * engine, so one scheduler runs every pipeline round in the library.
+ *
+ * Thread safety: none at the class surface — one caller thread
+ * advances an engine. Within a wave, units of distinct engines touch
+ * distinct sessions and units of one engine touch distinct layers,
+ * so the wave's units share no mutable state.
  */
 
 #ifndef PADE_SERVING_MODEL_ENGINE_H
@@ -98,6 +99,41 @@ struct TokenResult
     std::span<const MatrixF> outs;
     /** Per-layer scan accounting, same indexing. */
     std::span<const LayerStep> steps;
+};
+
+class ModelEngine;
+
+/**
+ * The one pipeline-round scheduler. wave() opens a round on every
+ * engine of the span with pending work, runs the union of their
+ * units through a single parallelFor on @p pool (inline when null or
+ * when the pool cannot use more than one hardware lane), then
+ * completes the rounds on the calling thread in span order. Every
+ * engine therefore sees exactly the round sequence it would see
+ * alone, and units of one wave touch disjoint state, so outputs do
+ * not depend on the span, the pool, or the thread count.
+ *
+ * Owns the `model.round` span and the `model.rounds`, `model.units`
+ * and `model.round_capacity_us` counters: one wave = one round. The
+ * scratch vector is reused across waves, so a runner allocates only
+ * while its widest wave grows.
+ */
+class WaveRunner
+{
+  public:
+    /** Run one wave; returns its unit count (0 = every engine has
+     *  drained and no round was opened). */
+    int wave(std::span<ModelEngine *const> engines, ThreadPool *pool);
+    /** wave() until every engine of the span has drained. */
+    void drain(std::span<ModelEngine *const> engines, ThreadPool *pool);
+
+  private:
+    struct UnitRef
+    {
+        ModelEngine *engine;
+        int unit;
+    };
+    std::vector<UnitRef> units_;
 };
 
 /**
@@ -150,39 +186,14 @@ class ModelEngine
     void feed(int pos, int prompt_len);
 
     /**
-     * Run one pipeline round: admit at most one queued token into
-     * flight, process every in-flight token at its layer (fanned
-     * across @p pool when given), then retire tokens whose last layer
-     * completed. Serial mode (pipeline = false) runs one whole token
-     * through all layers instead. Returns false when nothing was left
-     * to do. Exactly collectUnits() + runCollectedUnit(0..n-1) +
-     * completeRound(), plus the per-round fan-out and capacity
-     * telemetry a self-contained round owns.
+     * Run one pipeline round as a one-engine wave: admit at most one
+     * queued token into flight, process every in-flight token at its
+     * layer (fanned across @p pool when given), then retire tokens
+     * whose last layer completed. Serial mode (pipeline = false) runs
+     * one whole token through all layers instead. Returns false when
+     * nothing was left to do.
      */
     bool advance(ThreadPool *pool = nullptr);
-
-    /**
-     * Co-scheduling split of advance(), for a caller that merges the
-     * ready units of MANY sessions into one global fan-out (see
-     * ContinuousBatcher's co-scheduler): collectUnits() opens a round
-     * — admitting at most one queued token into flight exactly as
-     * advance() would — and returns the number of independent units
-     * (0 = drained, no round opened). The caller may then run units
-     * 0..n-1 in ANY order or concurrently (they touch disjoint layers
-     * and buffers — the advance() disjointness argument unchanged)
-     * and must finish with completeRound(), which ages the pipeline
-     * and retires completed tokens on the calling thread, in feed
-     * order. Serial mode yields one whole-token unit per round. A
-     * round opened by collectUnits() must be completed before the
-     * next collectUnits()/advance() (PADE_CHECKed); unit-level busy
-     * telemetry is recorded here, round/capacity accounting is the
-     * caller's (it knows the global round width).
-     */
-    int collectUnits();
-    /** Run unit @p u of the round collectUnits() opened; @p pool fans
-     *  the unit's internal KV-head reduction only. */
-    void runCollectedUnit(int u, ThreadPool *pool = nullptr);
-    void completeRound();
 
     /** advance() until queue and pipeline are empty. */
     void drain(ThreadPool *pool = nullptr);
@@ -224,6 +235,8 @@ class ModelEngine
     std::size_t bytesUsed() const;
 
   private:
+    friend class WaveRunner;
+
     struct Job
     {
         int pos = 0;
@@ -238,6 +251,21 @@ class ModelEngine
         std::vector<MatrixF> outs;
         std::vector<LayerStep> steps;
     };
+
+    /**
+     * WaveRunner's round protocol. collectUnits() opens a round —
+     * admitting at most one queued token into flight — and returns
+     * its unit count (0 = drained, no round opened; serial mode
+     * yields one whole-token unit). runCollectedUnit() may run units
+     * 0..n-1 in any order or concurrently: in-flight ages are
+     * pairwise distinct, so they touch disjoint layers and buffers.
+     * completeRound() ages the pipeline and retires completed tokens
+     * on the calling thread, in feed order.
+     */
+    int collectUnits();
+    /** @p pool fans the unit's internal KV-head reduction only. */
+    void runCollectedUnit(int u, ThreadPool *pool);
+    void completeRound();
 
     Flight takeFlight(const Job &job);
     /** Process flight @p f at layer @p l: stage, append, score. */
@@ -265,6 +293,8 @@ class ModelEngine
     int completed_ = 0;
     /** True between collectUnits() and completeRound(). */
     bool round_open_ = false;
+    /** Scratch of advance()/drain()'s one-engine waves. */
+    WaveRunner waves_;
 };
 
 } // namespace pade

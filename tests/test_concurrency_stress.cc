@@ -4,10 +4,10 @@
  * (-DPADE_SANITIZE=thread). Each test exercises one of the documented
  * concurrency contracts under real thread contention:
  *
- *  - ContinuousBatcher: many sessions advanced concurrently across a
- *    round share only the RoundAccounting byte counter — outputs must
- *    be bit-identical across thread counts, and TSan must see no
- *    unsynchronized access;
+ *  - ContinuousBatcher: every wave runs many sessions' pipeline units
+ *    at once, and they share no mutable state — outputs must be
+ *    bit-identical across thread counts and to the serial oracle,
+ *    and TSan must see no unsynchronized access;
  *  - ThreadPool: nested parallelFor under heavy contention (the
  *    help-drain path runs on many threads at once);
  *  - KvCache: the "const accessors are safe across concurrent readers
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/telemetry.h"
 #include "runtime/thread_pool.h"
 #include "serving/continuous_batcher.h"
 #include "serving/decode_engine.h"
@@ -58,9 +59,10 @@ stressTrace(int requests, uint64_t seed)
     return poissonArrivalTrace(ts);
 }
 
+/** `pipeline = false` with one thread is the serial oracle. */
 ServingReport
 runStress(const std::vector<ServingRequest> &trace, int threads,
-          bool coschedule = true, bool windowed = false)
+          bool pipeline = true, bool windowed = false)
 {
     BatcherOptions opt;
     opt.threads = threads;
@@ -71,7 +73,7 @@ runStress(const std::vector<ServingRequest> &trace, int threads,
     opt.kv_heads = 2; // GQA: grouped heads share one cache
     opt.head_dim = 32;
     opt.page_tokens = 16; // small pages => frequent page turnover
-    opt.coschedule = coschedule;
+    opt.pipeline = pipeline;
     if (windowed) {
         // Tight sink+recency window: long prompts stream through it,
         // so the windowed scan order and the middle-page reclamation
@@ -127,9 +129,8 @@ TEST(ConcurrencyStress, BatcherManySessionsIdenticalAtThreads2And8)
     }
     EXPECT_EQ(a.tokens_decoded, b.tokens_decoded);
     EXPECT_EQ(a.tokens_prefilled, b.tokens_prefilled);
-    // RoundAccounting folds per-session KV bytes concurrently
-    // (size_t addition commutes) and fixed_round_ms pins the
-    // admission schedule, so the peak is thread-invariant too.
+    // fixed_round_ms pins the admission schedule, so the peak KV
+    // bytes are thread-invariant too.
     EXPECT_EQ(a.peak_cache_bytes, b.peak_cache_bytes);
     EXPECT_EQ(a.peak_active, b.peak_active);
     EXPECT_EQ(a.rounds, b.rounds);
@@ -150,36 +151,35 @@ TEST(ConcurrencyStress, BatcherRepeatedRoundsStayDeterministic)
     }
 }
 
-TEST(ConcurrencyStress, CoscheduledMatchesPerSessionAtThreads128)
+TEST(ConcurrencyStress, WavesMatchSerialOracleAtThreads128)
 {
-    // The co-scheduler's differential oracle: same trace, same fixed
-    // virtual clock — the co-scheduled global waves must reproduce
-    // the per-session schedule's outputs AND its schedule-derived
-    // aggregates (peak KV bytes, peak co-residency, round count)
-    // exactly, at every thread count. Units of distinct sessions are
-    // disjoint and each engine sees its own round sequence either
-    // way, so any mismatch is a real sharing bug.
+    // The wave scheduler's differential oracle: same trace, same fixed
+    // virtual clock — pipelined waves over every resident session must
+    // reproduce the serial layer-by-layer schedule on one thread, in
+    // outputs AND in schedule-derived aggregates (peak KV bytes, peak
+    // co-residency, round count), at every thread count. Units of one
+    // wave touch disjoint sessions or disjoint layers, so any mismatch
+    // is a real sharing bug.
     const std::vector<ServingRequest> trace = stressTrace(12, 515);
+    const ServingReport oracle =
+        runStress(trace, 1, /*pipeline=*/false);
     for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(threads);
-        const ServingReport per =
-            runStress(trace, threads, /*coschedule=*/false);
-        const ServingReport co =
-            runStress(trace, threads, /*coschedule=*/true);
-        expectReportsIdentical(per, co, trace.size());
+        expectReportsIdentical(oracle, runStress(trace, threads),
+                               trace.size());
     }
 }
 
-TEST(ConcurrencyStress, CoscheduledWindowedRetentionMatchesPerSession)
+TEST(ConcurrencyStress, WindowedRetentionWavesMatchSerialOracle)
 {
-    // Windowed decode (sink+recency scan order, O(window) scratch)
-    // under co-scheduling, against the per-session oracle with the
-    // same retention policy: eviction decisions, page reclamation,
-    // and the windowed scan must all be schedule-invariant. Under
-    // TSan this also races the windowed path's per-head scratch
-    // against the global wave fan-out. Streams must outgrow the
-    // 16+32-token window for eviction to actually happen, so this
-    // trace uses longer prompts than stressTrace().
+    // Windowed decode (sink+recency scan order, O(window) scratch) in
+    // pipelined waves, against the serial oracle with the same
+    // retention policy: eviction decisions, page reclamation, and the
+    // windowed scan must all be schedule-invariant. Under TSan this
+    // also races the windowed path's per-head scratch against the
+    // wave fan-out. Streams must outgrow the 16+32-token window for
+    // eviction to actually happen, so this trace uses longer prompts
+    // than stressTrace().
     TraceSpec ts;
     ts.num_requests = 8;
     ts.rate_per_s = 8000.0;
@@ -189,14 +189,48 @@ TEST(ConcurrencyStress, CoscheduledWindowedRetentionMatchesPerSession)
     ts.decode_max = 12;
     ts.seed = 90210;
     const std::vector<ServingRequest> trace = poissonArrivalTrace(ts);
-    for (const int threads : {2, 8}) {
+    const ServingReport oracle = runStress(
+        trace, 1, /*pipeline=*/false, /*windowed=*/true);
+    for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(threads);
-        const ServingReport per = runStress(
-            trace, threads, /*coschedule=*/false, /*windowed=*/true);
-        const ServingReport co = runStress(
-            trace, threads, /*coschedule=*/true, /*windowed=*/true);
-        expectReportsIdentical(per, co, trace.size());
+        expectReportsIdentical(
+            oracle,
+            runStress(trace, threads, /*pipeline=*/true,
+                      /*windowed=*/true),
+            trace.size());
     }
+}
+
+TEST(ConcurrencyStress, WaveShapeIsThreadInvariantAndMergesSessions)
+{
+    if (!obs::kTelemetryEnabled)
+        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
+    // With the admission clock pinned, the wave schedule is a pure
+    // function of the trace: waves (model.rounds) and units
+    // (model.units) must not move with the thread count. A schedule
+    // that runs each session's rounds on their own can fit at most
+    // `layers` units in a round, so more units than layers x waves
+    // proves that waves merge sessions.
+    const std::vector<ServingRequest> trace = stressTrace(12, 515);
+    const int layers = 2; // runStress geometry
+    uint64_t waves = 0;
+    uint64_t units = 0;
+    for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(threads);
+        const obs::MetricsSnapshot before =
+            obs::Registry::instance().snapshot();
+        runStress(trace, threads);
+        const obs::MetricsSnapshot d = obs::MetricsSnapshot::delta(
+            before, obs::Registry::instance().snapshot());
+        if (threads == 1) {
+            waves = d.counter("model.rounds");
+            units = d.counter("model.units");
+        }
+        EXPECT_EQ(d.counter("model.rounds"), waves);
+        EXPECT_EQ(d.counter("model.units"), units);
+    }
+    EXPECT_GT(waves, 0u);
+    EXPECT_GT(units, static_cast<uint64_t>(layers) * waves);
 }
 
 // ---------------------------------------------------------------------

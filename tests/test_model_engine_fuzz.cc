@@ -29,6 +29,7 @@
 #include <sstream>
 #include <vector>
 
+#include "attention/online_softmax.h"
 #include "common/rng.h"
 #include "core/pade_attention.h"
 #include "serving/decode_engine.h"
@@ -413,11 +414,12 @@ TEST(ModelEngineFuzz, AdoptedPrefixMatchesPrivateDecode)
 /**
  * The windowed scan order is by definition a filter of the full
  * order: for any (seq_len, tile, head_tail, sink, window_start) —
- * out-of-range live bounds included, the overload clamps — the 5-arg
- * istaScanOrderInto must emit exactly the subsequence of the 4-arg
- * order whose keys satisfy `j < sink || j >= window_start`. That
- * subsequence property is what lets DecodeEngine drop the per-key
- * retention test from its scan loop, so it is fuzzed directly here.
+ * out-of-range live bounds included, istaScanOrderInto clamps — it
+ * must emit exactly the subsequence of the full ISTA order whose keys
+ * satisfy `j < sink || j >= window_start`. That subsequence property
+ * is what lets DecodeEngine drop the per-key retention test from its
+ * scan loop, so it is fuzzed directly here. The full order is built
+ * independently, tile by tile from headTailOrder().
  */
 TEST(ModelEngineFuzz, WindowedScanOrderIsFilteredFullOrder)
 {
@@ -441,7 +443,15 @@ TEST(ModelEngineFuzz, WindowedScanOrderIsFilteredFullOrder)
            << " win=" << win;
         SCOPED_TRACE(os.str());
 
-        istaScanOrderInto(seq_len, tile, head_tail, full);
+        std::vector<int> tiles = headTailOrder((seq_len + tile - 1) / tile);
+        if (!head_tail)
+            std::sort(tiles.begin(), tiles.end());
+        full.clear();
+        for (int t : tiles)
+            for (int j = t * tile; j < std::min(seq_len, (t + 1) * tile);
+                 j++)
+                full.push_back(j);
+
         istaScanOrderInto(seq_len, tile, head_tail, sink, win,
                           windowed);
         const int live_sink = std::min(sink, seq_len);

@@ -539,12 +539,12 @@ TEST(ObsWiring, ServingRunPopulatesSubsystemCounters)
     EXPECT_GT(d.counter("model.unit_busy_us"), 0u);
     EXPECT_GT(d.counter("model.round_capacity_us"), 0u);
     EXPECT_GT(d.counter("prefix.lookups"), 0u);
-    // The co-scheduled batcher clamps wave fan-out to the hardware
-    // width: on a single-core host every wave legitimately runs
-    // inline on the scheduler thread and the run may submit no pool
-    // tasks at all.
-    if (ThreadPool::hardwareThreads() > 1)
+    // Waves clamp their fan-out to the hardware width: on a
+    // single-core host every wave legitimately runs inline on the
+    // scheduler thread and the run may submit no pool tasks at all.
+    if (ThreadPool::hardwareThreads() > 1) {
         EXPECT_GT(d.counter("pool.tasks"), 0u);
+    }
     const HistogramStat *lat = d.histogram("serving.latency_us");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count, 4u);
