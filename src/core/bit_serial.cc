@@ -88,9 +88,17 @@ planeDeltaScalar(std::span<const int8_t> q, const BitPlaneSet &keys,
                  int key, int plane)
 {
     assert(static_cast<int>(q.size()) == keys.numCols());
+    return planeDeltaScalar(q, keys.plane(key, plane).data(),
+                            keys.planeWeight(plane));
+}
+
+int64_t
+planeDeltaScalar(std::span<const int8_t> q, const uint64_t *words,
+                 int weight)
+{
+    const int nwords = static_cast<int>((q.size() + 63) / 64);
     int64_t sum = 0;
-    auto words = keys.plane(key, plane);
-    for (int w = 0; w < keys.wordsPerPlane(); w++) {
+    for (int w = 0; w < nwords; w++) {
         uint64_t bits = words[w];
         while (bits) {
             const int b = __builtin_ctzll(bits);
@@ -98,7 +106,7 @@ planeDeltaScalar(std::span<const int8_t> q, const BitPlaneSet &keys,
             bits &= bits - 1;
         }
     }
-    return static_cast<int64_t>(keys.planeWeight(plane)) * sum;
+    return static_cast<int64_t>(weight) * sum;
 }
 
 int64_t

@@ -66,12 +66,12 @@ int64_t planeDelta(const QueryPlanes &q, const BitPlaneSet &keys,
                    int key, int plane);
 
 /**
- * planeDelta() through the AVX2 backend (QkKernel::kSimd, the hot
- * path's default where supported): a value-domain masked byte sum
- * for short rows and a vpshufb-nibble / Harley-Seal plane reduction
- * for wide ones — see the strategy comment in src/core/simd/qk_avx2.h.
- * Bit-identical to both other kernels; silently falls back to
- * planeDelta() when AVX2 is compiled out or the CPU lacks it.
+ * planeDelta() through the AVX2 backend: a value-domain masked byte
+ * sum for short rows and a vpshufb-nibble / Harley-Seal plane
+ * reduction for wide ones — see the strategy comment in
+ * src/core/simd/qk_simd.h. Bit-identical to both other kernels;
+ * silently falls back to planeDelta() when AVX2 is compiled out or
+ * the CPU lacks it.
  */
 int64_t planeDeltaSimd(const QueryPlanes &q, const BitPlaneSet &keys,
                        int key, int plane);
@@ -83,6 +83,14 @@ int64_t planeDeltaSimd(const QueryPlanes &q, const BitPlaneSet &keys,
  */
 int64_t planeDeltaScalar(std::span<const int8_t> q,
                          const BitPlaneSet &keys, int key, int plane);
+
+/**
+ * planeDeltaScalar() over one packed plane row @p words (the
+ * ceil(q.size() / 64) words of one key plane) with plane weight
+ * @p weight — the form the guarded scan's kScalar path calls.
+ */
+int64_t planeDeltaScalar(std::span<const int8_t> q,
+                         const uint64_t *words, int weight);
 
 /**
  * Same value computed the bidirectional way: per sub-group, accumulate

@@ -1,15 +1,18 @@
 #include "core/guard_filter.h"
 
-#include <cassert>
 #include <cmath>
+
+#include "common/check.h"
 
 namespace pade {
 
 GuardFilter::GuardFilter(double alpha, double radius, double logit_scale)
 {
-    assert(alpha >= 0.0 && alpha <= 1.0);
-    assert(radius >= 0.0);
-    assert(logit_scale > 0.0);
+    // Release-armed: constructed once per query row per step, never
+    // per key, and a negative margin would disable pruning silently.
+    PADE_CHECK(alpha >= 0.0 && alpha <= 1.0);
+    PADE_CHECK(radius >= 0.0);
+    PADE_CHECK(logit_scale > 0.0);
     // Margin below the best lower bound, converted to integer scores.
     // T = max(LB) - alpha * radius (paper Eq. 4): alpha = 1 keeps the
     // full guard band (most conservative); smaller alpha raises the
@@ -17,32 +20,6 @@ GuardFilter::GuardFilter(double alpha, double radius, double logit_scale)
     // the paper's Fig. 16(b) sweep direction.
     margin_int_ = static_cast<int64_t>(
         std::llround(alpha * radius / logit_scale));
-}
-
-void
-GuardFilter::observe(int64_t lower_bound)
-{
-    if (!seen_ || lower_bound > max_lb_) {
-        max_lb_ = lower_bound;
-        seen_ = true;
-        updates_++;
-    }
-}
-
-int64_t
-GuardFilter::threshold() const
-{
-    if (!seen_)
-        return std::numeric_limits<int64_t>::min();
-    // Saturating subtraction to avoid wraparound at the sentinel.
-    const int64_t t = max_lb_ - margin_int_;
-    return t > max_lb_ ? std::numeric_limits<int64_t>::min() : t;
-}
-
-bool
-GuardFilter::shouldPrune(int64_t upper_bound) const
-{
-    return seen_ && upper_bound < threshold();
 }
 
 } // namespace pade

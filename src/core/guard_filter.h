@@ -12,13 +12,24 @@
  * `radius` is specified in logit units (paper default 5, i.e. pruned
  * tokens contribute < e^-5 relative mass at alpha = 1); it is converted
  * into the integer score domain through the dequantization scale.
+ *
+ * guardedKeyScore() is the per-key plane loop every QK kernel runs:
+ * add a plane's contribution, fold the lower bound into the guard,
+ * stop at the first plane whose upper bound falls below the threshold.
+ * The guard step is force-inlined because it is also compiled inside
+ * the ISA-specific translation units under core/simd/: an out-of-line
+ * copy emitted there (a COMDAT symbol) could be the one the linker
+ * keeps for baseline callers, and would then fault on CPUs without
+ * that ISA.
  */
 
 #ifndef PADE_CORE_GUARD_FILTER_H
 #define PADE_CORE_GUARD_FILTER_H
 
 #include <cstdint>
-#include <limits>
+
+/** Inline even without optimization (see the file comment). */
+#define PADE_ALWAYS_INLINE inline __attribute__((always_inline))
 
 namespace pade {
 
@@ -29,19 +40,43 @@ class GuardFilter
     /**
      * @param alpha guard-band fraction in [0, 1]; 1 keeps the full
      *        radius (conservative), smaller values prune harder
-     * @param radius guard band in logit units (paper default 5)
-     * @param logit_scale integer-score -> logit conversion factor
+     * @param radius guard band in logit units (paper default 5), >= 0
+     * @param logit_scale integer-score -> logit conversion factor, > 0
+     *
+     * Out-of-range values abort in every build type: a negative
+     * margin would read every threshold as -inf and silently turn
+     * pruning off.
      */
     GuardFilter(double alpha, double radius, double logit_scale);
 
     /** Fold a score lower bound into the row max (paper Step 0). */
-    void observe(int64_t lower_bound);
+    PADE_ALWAYS_INLINE void
+    observe(int64_t lower_bound)
+    {
+        if (!seen_ || lower_bound > max_lb_) {
+            max_lb_ = lower_bound;
+            seen_ = true;
+            updates_++;
+        }
+    }
 
     /** Current integer-domain threshold; -inf until first observe. */
-    int64_t threshold() const;
+    PADE_ALWAYS_INLINE int64_t
+    threshold() const
+    {
+        if (!seen_)
+            return INT64_MIN;
+        // Saturating subtraction to avoid wraparound at the sentinel.
+        const int64_t t = max_lb_ - margin_int_;
+        return t > max_lb_ ? INT64_MIN : t;
+    }
 
     /** True if a key with this upper bound should be pruned. */
-    bool shouldPrune(int64_t upper_bound) const;
+    PADE_ALWAYS_INLINE bool
+    shouldPrune(int64_t upper_bound) const
+    {
+        return seen_ && upper_bound < threshold();
+    }
 
     /** Number of threshold-raising updates (hardware activity). */
     uint64_t updates() const { return updates_; }
@@ -50,10 +85,42 @@ class GuardFilter
 
   private:
     int64_t margin_int_;
-    int64_t max_lb_ = std::numeric_limits<int64_t>::min();
+    int64_t max_lb_ = INT64_MIN;
     bool seen_ = false;
     uint64_t updates_ = 0;
 };
+
+/** Outcome of one key's guarded bit-serial scan. */
+struct KeyScore
+{
+    int64_t score;  //!< partial score S^{planes-1} (exact if !pruned)
+    int planes;     //!< planes consumed, 1..nplanes
+    bool pruned;    //!< the guard terminated the key
+};
+
+/**
+ * The per-key BUI-GF loop: for r = 0.. @p nplanes - 1, add
+ * @p delta(r) (plane r's weighted contribution) to the score, fold
+ * score + lo[r] into @p guard, and when @p prune is set return at the
+ * first plane whose upper bound score + hi[r] is below the threshold.
+ * With @p prune clear (the dense ablation) the guard still observes
+ * every plane, so threshold-update counts match the pruning run's.
+ */
+template <class PlaneDelta>
+PADE_ALWAYS_INLINE KeyScore
+guardedKeyScore(GuardFilter &guard, const int64_t *lo,
+                const int64_t *hi, int nplanes, bool prune,
+                PlaneDelta &&delta)
+{
+    int64_t score = 0;
+    for (int r = 0; r < nplanes; r++) {
+        score += delta(r);
+        guard.observe(score + lo[r]);
+        if (prune && guard.shouldPrune(score + hi[r]))
+            return {score, r + 1, true};
+    }
+    return {score, nplanes, false};
+}
 
 } // namespace pade
 

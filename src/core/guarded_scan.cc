@@ -1,0 +1,45 @@
+#include "core/guarded_scan.h"
+
+namespace pade {
+
+PruneStats &
+PruneStats::operator+=(const PruneStats &o)
+{
+    planes_processed += o.planes_processed;
+    planes_total += o.planes_total;
+    keys_retained += o.keys_retained;
+    keys_total += o.keys_total;
+    ops_bs += o.ops_bs;
+    ops_naive += o.ops_naive;
+    max_updates += o.max_updates;
+    rescale_ops += o.rescale_ops;
+    threshold_updates += o.threshold_updates;
+    return *this;
+}
+
+ScanPlan::ScanPlan(QkKernel kernel, int key_bits, int plane_stride,
+                   bool guard_enabled)
+    : bits(key_bits), stride(plane_stride), prune(guard_enabled),
+      key_kernel(kernel == QkKernel::kSimd ? simd::keyKernel() : nullptr)
+{
+}
+
+void
+ScanQuery::start(std::span<const int8_t> row, QkKernel kernel, int bits,
+                 const GuardFilter &g, uint8_t *planes_row,
+                 uint8_t *keep_row)
+{
+    q = row;
+    if (kernel != QkKernel::kScalar)
+        qplanes.assign(row);
+    view = kernel == QkKernel::kSimd ? qplanes.simdView()
+                                     : simd::QPlaneView{};
+    bui = computeBuiTable(row, bits);
+    guard = g;
+    planes_out = planes_row;
+    keep_out = keep_row;
+    retained.clear();
+    scores.clear();
+}
+
+} // namespace pade

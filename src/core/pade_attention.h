@@ -21,6 +21,7 @@
 
 #include "attention/online_softmax.h"
 #include "core/bit_serial.h"
+#include "core/guarded_scan.h"
 #include "core/simd/qk_dispatch.h"
 #include "tensor/matrix.h"
 #include "workload/generator.h"
@@ -44,11 +45,11 @@ struct PadeConfig
     /**
      * QK scoring kernel (see core/simd/qk_dispatch.h for the
      * three-way dispatch story). Defaults to the fastest available
-     * backend — kSimd on AVX2 hardware, kPopcount otherwise; all
-     * kernels are bit-identical. padeAttention resolves the request
-     * through resolveQkKernel(), so the PADE_QK_KERNEL environment
-     * variable overrides this field and an unavailable kSimd
-     * degrades to kPopcount.
+     * backend — kSimd (AVX-512BW or AVX2, as the CPU allows) on AVX2
+     * hardware, kPopcount otherwise; all kernels are bit-identical.
+     * padeAttention resolves the request through resolveQkKernel(),
+     * so the PADE_QK_KERNEL environment variable overrides this
+     * field and an unavailable kSimd degrades to kPopcount.
      */
     QkKernel qk_kernel = defaultQkKernel();
 };
@@ -71,9 +72,8 @@ struct PadeWorkspace
      */
     ThreadPool *pool = nullptr;
 
-    QueryPlanes qplanes;             //!< packed current query row
+    ScanQuery query;                 //!< current query row's scan
     std::vector<PlaneWork> plane_work; //!< (key, plane) work table
-    std::vector<int64_t> retained_scores; //!< exact retained scores
     std::vector<float> tile_scores; //!< ISTA tile logits
     OnlineSoftmaxRow softmax{0};    //!< value-stage accumulator
 
@@ -93,43 +93,6 @@ struct PadeWorkspace
     int plane_work_muxes = 0;
     /** PlaneWork table (re)builds performed (reuse observability). */
     uint64_t plane_work_builds = 0;
-};
-
-/** Aggregate pruning / work statistics of one head execution. */
-struct PruneStats
-{
-    uint64_t planes_processed = 0; //!< bit planes actually consumed
-    uint64_t planes_total = 0;     //!< P * S_valid * bits (dense)
-    uint64_t keys_retained = 0;
-    uint64_t keys_total = 0;       //!< P * S_valid
-    uint64_t ops_bs = 0;           //!< selected elements with BS
-    uint64_t ops_naive = 0;        //!< ones-only selected elements
-    uint64_t max_updates = 0;      //!< online-softmax max updates
-    uint64_t rescale_ops = 0;      //!< rescale multiply-adds
-    uint64_t threshold_updates = 0;
-
-    /** Accumulate another execution's counters (all fields add). */
-    PruneStats &operator+=(const PruneStats &o);
-
-    double
-    avgPlanesPerKey() const
-    {
-        return keys_total ? static_cast<double>(planes_processed) /
-            keys_total : 0.0;
-    }
-    double
-    keepRate() const
-    {
-        return keys_total ? static_cast<double>(keys_retained) /
-            keys_total : 0.0;
-    }
-    /** Fraction of dense bit-plane work eliminated. */
-    double
-    planeReduction() const
-    {
-        return planes_total ? 1.0 -
-            static_cast<double>(planes_processed) / planes_total : 0.0;
-    }
 };
 
 /** Full result of one head execution. */

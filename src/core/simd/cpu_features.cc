@@ -41,11 +41,18 @@ probe()
 
     // XCR0 is only readable when the OS enabled XSAVE (OSXSAVE).
     const bool osxsave = (ecx >> 27) & 1u;
-    if (osxsave)
-        f.os_ymm = (xcr0() & 0x6) == 0x6; // XMM (bit 1) + YMM (bit 2)
+    if (osxsave) {
+        const uint64_t xcr = xcr0();
+        f.os_ymm = (xcr & 0x6) == 0x6; // XMM (bit 1) + YMM (bit 2)
+        // + opmask (5), ZMM0-15 upper halves (6), ZMM16-31 (7).
+        f.os_zmm = (xcr & 0xE6) == 0xE6;
+    }
 
-    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx))
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
         f.avx2 = (ebx >> 5) & 1u;
+        f.avx512f = (ebx >> 16) & 1u;
+        f.avx512bw = (ebx >> 30) & 1u;
+    }
     return f;
 }
 

@@ -1,4 +1,4 @@
-#include "core/simd/qk_avx2.h"
+#include "core/simd/qk_simd.h"
 
 #include <cassert>
 #include <cstddef>
@@ -176,46 +176,14 @@ widen16(__m256i acc16)
  * The chunk count is derived from cols, so at most
  * 4 * ceil(cols/32) <= 8 * words mask bytes are read — never past
  * the caller's span. The query byte mirror's zero padding absorbs
- * mask bits between cols and the chunk boundary.
+ * mask bits between cols and the chunk boundary. Force-inlined: the
+ * per-key kernel calls it once per key plane.
  */
-int64_t
+PADE_ALWAYS_INLINE int64_t
 maskedSumValues(const int8_t *values, const uint64_t *mask, int cols)
 {
     const int chunks = (cols + 31) / 32;
     return hsum32(widen16(valuePlaneSum16(values, mask, 0, chunks)));
-}
-
-/**
- * Fused value-domain dot over the first nplanes key planes of one
- * key: per-plane 16-bit masked value sums widen to 32-bit lanes and
- * fold by Horner doubling (plane weights are descending powers of
- * two), so one horizontal sum runs per (query, key) pair. Row length
- * is bounded by the caller (cols <= kValueMaxCols), so 16-bit lanes
- * cannot saturate and the Horner chain peaks below 2^24 per lane.
- */
-int64_t
-dotPlanesValues(const int8_t *values, int cols, const uint64_t *kplanes,
-                int kstride, int kbits, int nplanes)
-{
-    const int chunks = (cols + 31) / 32;
-
-    // Key sign plane (p = 0, weight -2^{kbits-1}) on its own.
-    const __m256i sign32 =
-        widen16(valuePlaneSum16(values, kplanes, 0, chunks));
-
-    // Positive planes p >= 1 Horner-folded in the 32-bit lanes.
-    __m256i acc32 = _mm256_setzero_si256();
-    for (int p = 1; p < nplanes; p++) {
-        const __m256i s = widen16(valuePlaneSum16(
-            values, kplanes + static_cast<std::size_t>(p) * kstride, 0,
-            chunks));
-        acc32 = _mm256_add_epi32(_mm256_add_epi32(acc32, acc32), s);
-    }
-
-    // acc32 carries weights 2^{nplanes-1-p}; rescale to 2^{kbits-1-p}
-    // and subtract the sign plane at its full magnitude.
-    return (hsum32(acc32) << (kbits - nplanes)) -
-        (hsum32(sign32) << (kbits - 1));
 }
 
 /**
@@ -361,30 +329,24 @@ maskedSumAvx2(const QPlaneView &q, const uint64_t *mask, int words)
     return maskedSumWide(q, mask, words);
 }
 
-int64_t
-dotPlanesAvx2(const QPlaneView &q, const uint64_t *kplanes, int kstride,
-              int kbits, int nplanes, int words)
+KeyScore
+scoreKeyAvx2(const QPlaneView &q, const uint64_t *kplanes, int kstride,
+             int kbits, int nplanes, const KeyGuard *guard)
 {
-    assert(q.stride % kChunkWords == 0 && kstride % kChunkWords == 0);
-    assert(reinterpret_cast<std::uintptr_t>(kplanes) % 32 == 0);
-    assert(nplanes >= 1 && nplanes <= kbits);
-    if (q.bits == 0 || words == 0)
-        return 0;
+    assert(q.stride % kChunkWords == 0);
+    assert(reinterpret_cast<std::uintptr_t>(q.planes) % 32 == 0);
+    assert(reinterpret_cast<std::uintptr_t>(q.values) % 32 == 0);
+    const int words = (q.cols + 63) / 64;
     if (useValueKernel(q, words))
-        return dotPlanesValues(q.values, q.cols, kplanes, kstride,
-                               kbits, nplanes);
-    // Long rows: the per-plane work dwarfs the call/reduction
-    // overhead the fusion exists to amortize, so reuse the wide
-    // kernel per key plane and combine in scalar.
-    int64_t total = 0;
-    for (int p = 0; p < nplanes; p++) {
-        const int64_t s = maskedSumWide(
-            q, kplanes + static_cast<std::size_t>(p) * kstride, words);
-        const int64_t w = p == 0 ? -(int64_t{1} << (kbits - 1))
-                                 : int64_t{1} << (kbits - 1 - p);
-        total += w * s;
-    }
-    return total;
+        return scoreKeyWith(kplanes, kstride, kbits, nplanes, guard,
+                            [&q](const uint64_t *mask) {
+                                return maskedSumValues(q.values, mask,
+                                                       q.cols);
+                            });
+    return scoreKeyWith(kplanes, kstride, kbits, nplanes, guard,
+                        [&q, words](const uint64_t *mask) {
+                            return maskedSumWide(q, mask, words);
+                        });
 }
 
 } // namespace simd
@@ -431,19 +393,15 @@ maskedSumAvx2(const QPlaneView &q, const uint64_t *mask, int words)
     return maskedSumPortable(q, mask, words);
 }
 
-int64_t
-dotPlanesAvx2(const QPlaneView &q, const uint64_t *kplanes, int kstride,
-              int kbits, int nplanes, int words)
+KeyScore
+scoreKeyAvx2(const QPlaneView &q, const uint64_t *kplanes, int kstride,
+             int kbits, int nplanes, const KeyGuard *guard)
 {
-    int64_t total = 0;
-    for (int p = 0; p < nplanes; p++) {
-        const int64_t s = maskedSumPortable(
-            q, kplanes + static_cast<std::size_t>(p) * kstride, words);
-        const int64_t w = p == 0 ? -(int64_t{1} << (kbits - 1))
-                                 : int64_t{1} << (kbits - 1 - p);
-        total += w * s;
-    }
-    return total;
+    const int words = (q.cols + 63) / 64;
+    return scoreKeyWith(kplanes, kstride, kbits, nplanes, guard,
+                        [&q, words](const uint64_t *mask) {
+                            return maskedSumPortable(q, mask, words);
+                        });
 }
 
 } // namespace simd

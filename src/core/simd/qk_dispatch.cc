@@ -7,7 +7,7 @@
 #include <cstdlib>
 
 #include "core/simd/cpu_features.h"
-#include "core/simd/qk_avx2.h"
+#include "core/simd/qk_simd.h"
 
 namespace pade {
 namespace {
@@ -57,6 +57,18 @@ qkSimdAvailable()
         return simd::qkAvx2Compiled() && f.avx2 && f.os_ymm;
     }();
     return available;
+}
+
+simd::KeyKernel
+simd::keyKernel()
+{
+    static const KeyKernel kernel = [] {
+        const CpuFeatures &f = cpuFeatures();
+        return qkAvx512Compiled() && f.avx512f && f.avx512bw && f.os_zmm
+            ? &scoreKeyAvx512
+            : &scoreKeyAvx2;
+    }();
+    return kernel;
 }
 
 QkKernel

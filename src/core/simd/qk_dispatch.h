@@ -10,18 +10,21 @@
  *  - QkKernel::kScalar — per-set-bit ctz walk; the exactness oracle.
  *  - QkKernel::kPopcount — word-parallel weighted popcount over
  *    packed 64-bit words (baseline ISA + POPCNT).
- *  - QkKernel::kSimd — the AVX2 backend (vpshufb nibble popcount /
- *    Harley-Seal, see src/core/simd/qk_avx2.h); requires the backend
- *    to be compiled in (CMake option PADE_AVX2) *and* the executing
- *    CPU/OS to support AVX2 (runtime CPUID + XGETBV probe).
+ *  - QkKernel::kSimd — the widest SIMD backend the CPU and OS
+ *    support (src/core/simd/qk_simd.h): the AVX-512BW per-key kernel
+ *    where CPUID reports AVX-512F/BW and XCR0 shows the ZMM state
+ *    saved, the AVX2 one otherwise. It requires the backend to be
+ *    compiled in (CMake option PADE_AVX2) *and* the executing CPU/OS
+ *    to support AVX2 (runtime CPUID + XGETBV probe). The choice
+ *    between the two ISAs is the CPU's, never a setting.
  *
  * Selection: PadeConfig::qk_kernel names the requested kernel and
  * defaults to defaultQkKernel() (kSimd when available, else
  * kPopcount). resolveQkKernel() applies the PADE_QK_KERNEL
  * environment override — "scalar" | "popcount" | "simd" | "auto" —
  * and downgrades an unavailable kSimd to kPopcount, so requesting
- * SIMD is always safe. Future backends (AVX-512, NEON, CUDA) plug in
- * as new enumerators resolved here.
+ * SIMD is always safe. A new ISA (NEON, say) is a new per-key kernel
+ * behind kSimd, selected in simd::keyKernel().
  */
 
 #ifndef PADE_CORE_SIMD_QK_DISPATCH_H
@@ -37,7 +40,7 @@ enum class QkKernel
 {
     kScalar,   //!< per-set-bit scalar reference (oracle)
     kPopcount, //!< word-parallel weighted-popcount kernel
-    kSimd,     //!< AVX2 backend (falls back to kPopcount if absent)
+    kSimd,     //!< AVX-512BW or AVX2 backend (else kPopcount)
 };
 
 /** Environment variable overriding the configured kernel. */

@@ -7,8 +7,8 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
-#include "core/simd/qk_avx2.h"
 #include "core/simd/qk_dispatch.h"
+#include "core/simd/qk_simd.h"
 
 namespace pade {
 namespace {
@@ -94,20 +94,21 @@ BitPlaneSet::appendToken(std::span<const int8_t> row)
     popcounts_.resize(popcounts_.size() + bits_, 0);
     checkStorageAligned(storage_.data());
 
+    // Branch-free, like QueryPlanes::assign: key bits are data.
+    uint64_t *base = storage_.data() + planeIndex(row_idx, 0);
+    int *counts = popcounts_.data() + static_cast<size_t>(row_idx) * bits_;
     for (int col = 0; col < cols_; col++) {
         const int v = row[col];
         PADE_DCHECK(v >= lo && v <= hi);
         // Two's complement over the low `bits_` bits represents v
         // exactly when it is in range.
-        const uint8_t u = static_cast<uint8_t>(v) &
-            static_cast<uint8_t>((1u << bits_) - 1);
+        const unsigned u = static_cast<uint8_t>(v) & ((1u << bits_) - 1);
+        uint64_t *word = base + col / 64;
         for (int r = 0; r < bits_; r++) {
-            const int bitpos = bits_ - 1 - r;
-            if ((u >> bitpos) & 1u) {
-                storage_[planeIndex(row_idx, r) + col / 64] |=
-                    1ULL << (col % 64);
-                popcounts_[static_cast<size_t>(row_idx) * bits_ + r]++;
-            }
+            const unsigned bit = (u >> (bits_ - 1 - r)) & 1u;
+            word[static_cast<std::size_t>(r) * stride_] |=
+                static_cast<uint64_t>(bit) << (col % 64);
+            counts[r] += static_cast<int>(bit);
         }
     }
 }
@@ -141,15 +142,6 @@ BitPlaneSet::plane(int row, int r) const
     const uint64_t *p = storage_.data() + planeIndex(row, r);
     assertPlaneAligned(p);
     return {p, static_cast<size_t>(words_)};
-}
-
-std::span<const uint64_t>
-BitPlaneSet::rowPlanes(int row) const
-{
-    PADE_DCHECK(row >= 0 && row < rows_);
-    const uint64_t *p = storage_.data() + planeIndex(row, 0);
-    assertPlaneAligned(p);
-    return {p, static_cast<size_t>(bits_) * stride_};
 }
 
 int
@@ -200,14 +192,17 @@ QueryPlanes::assign(std::span<const int8_t> q, int bits)
 
     storage_.assign(static_cast<std::size_t>(bits_) * stride_, 0);
     checkStorageAligned(storage_.data());
+    // Branch-free: query bits are data, so a per-bit branch would
+    // mispredict about half the time, once per (plane, element) of
+    // every query row the guarded scan stages.
     for (int col = 0; col < cols_; col++) {
-        const uint8_t u = static_cast<uint8_t>(q[col]) &
-            static_cast<uint8_t>((1u << bits_) - 1);
-        for (int t = 0; t < bits_; t++) {
-            if ((u >> (bits_ - 1 - t)) & 1u)
-                storage_[static_cast<std::size_t>(t) * stride_ +
-                         col / 64] |= 1ULL << (col % 64);
-        }
+        const unsigned u = static_cast<uint8_t>(q[col]) &
+            ((1u << bits_) - 1);
+        uint64_t *word = storage_.data() + col / 64;
+        for (int t = 0; t < bits_; t++)
+            word[static_cast<std::size_t>(t) * stride_] |=
+                static_cast<uint64_t>((u >> (bits_ - 1 - t)) & 1u)
+                << (col % 64);
     }
 
     // The byte value mirror is rebuilt lazily on first simdView() —
@@ -329,10 +324,10 @@ partialDotSimd(const QueryPlanes &q, const BitPlaneSet &keys, int row,
     PADE_DCHECK(r >= 0 && r < keys.numPlanes());
     if (!qkSimdAvailable())
         return partialDot(q, keys, row, r);
-    const simd::QPlaneView view = q.simdView();
-    return simd::dotPlanesAvx2(view, keys.rowPlanes(row).data(),
-                               keys.planeStride(), keys.numPlanes(),
-                               r + 1, keys.wordsPerPlane());
+    return simd::keyKernel()(q.simdView(), keys.rowPlanes(row).data(),
+                             keys.planeStride(), keys.numPlanes(), r + 1,
+                             nullptr)
+        .score;
 }
 
 int64_t

@@ -114,12 +114,18 @@ class BitPlaneSet
 
     /**
      * All @c numPlanes() planes of @p row as one contiguous block:
-     * plane r starts at offset r * planeStride(). This is the view
-     * the fused SIMD dot kernel consumes (partialDotSimd/
-     * exactDotSimd); the alignment/zero-padding contract of plane()
-     * applies to every row in the block.
+     * plane r starts at offset r * planeStride(). This is the key
+     * view the guarded scan and the per-key SIMD kernels consume;
+     * the alignment/zero-padding contract of plane() applies to
+     * every row in the block.
      */
-    std::span<const uint64_t> rowPlanes(int row) const;
+    std::span<const uint64_t>
+    rowPlanes(int row) const
+    {
+        PADE_DCHECK(row >= 0 && row < rows_);
+        return {storage_.data() + planeIndex(row, 0),
+                static_cast<std::size_t>(bits_) * stride_};
+    }
 
     /** Signed weight of plane @p r: -2^{p-1} for r=0, else 2^{p-1-r}. */
     int planeWeight(int r) const;
@@ -272,7 +278,7 @@ class QueryPlanes
     }
 
     /**
-     * maskedSum() through the AVX2 backend (QkKernel::kSimd). Exact
+     * maskedSum() through the AVX2 backend. Exact
      * same value, bit for bit — the SIMD kernel counts the same set
      * bits with the same power-of-two weights, only wider. Falls back
      * to maskedSum() when the backend is compiled out or the CPU
@@ -351,9 +357,10 @@ int64_t partialDotScalar(std::span<const int8_t> q,
                          const BitPlaneSet &keys, int row, int r);
 
 /**
- * partialDot through the AVX2 backend (QkKernel::kSimd); bit-identical
- * to partialDot()/partialDotScalar(), falls back to the popcount
- * kernel when AVX2 is unavailable.
+ * partialDot through the QkKernel::kSimd per-key kernel with the guard
+ * off (AVX-512BW or AVX2, see core/simd/qk_simd.h); bit-identical to
+ * partialDot()/partialDotScalar(), falls back to the popcount kernel
+ * when no SIMD backend is available.
  */
 int64_t partialDotSimd(const QueryPlanes &q, const BitPlaneSet &keys,
                        int row, int r);
@@ -370,7 +377,7 @@ int64_t exactDot(const QueryPlanes &q, const BitPlaneSet &keys,
 int64_t exactDotScalar(std::span<const int8_t> q, const BitPlaneSet &keys,
                        int row);
 
-/** exactDot through the AVX2 backend (see partialDotSimd). */
+/** exactDot through the kSimd per-key kernel (see partialDotSimd). */
 int64_t exactDotSimd(const QueryPlanes &q, const BitPlaneSet &keys,
                      int row);
 

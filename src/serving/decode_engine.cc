@@ -1,7 +1,6 @@
 #include "serving/decode_engine.h"
 
 #include "common/check.h"
-#include "core/bit_serial.h"
 #include "obs/telemetry.h"
 
 namespace pade {
@@ -121,34 +120,18 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     // Same per-call dispatch decision as padeAttention: config request
     // + PADE_QK_KERNEL override + capability clamp.
     const QkKernel kernel = resolveQkKernel(cfg_.qk_kernel);
-    const bool packed_qk = kernel != QkKernel::kScalar;
-    const bool simd_qk = kernel == QkKernel::kSimd;
     if constexpr (obs::kTelemetryEnabled) {
         DecodeMetrics &m = DecodeMetrics::get();
         m.steps.add(1);
-        (simd_qk         ? m.dispatch_simd
-             : packed_qk ? m.dispatch_popcount
-                         : m.dispatch_scalar)
+        (kernel == QkKernel::kSimd       ? m.dispatch_simd
+             : kernel == QkKernel::kScalar ? m.dispatch_scalar
+                                           : m.dispatch_popcount)
             .add(1);
     }
 
-    // Stage per-head query state once per step. Everything below the
-    // key loop reads it; nothing rebuilds per key.
     if (static_cast<int>(heads_.size()) < g)
         heads_.resize(static_cast<std::size_t>(g));
     group_ = g;
-    for (int gi = 0; gi < g; gi++) {
-        HeadState &hs = heads_[static_cast<std::size_t>(gi)];
-        if (packed_qk)
-            hs.qplanes.assign(qs_[static_cast<std::size_t>(gi)]);
-        hs.qview =
-            simd_qk ? hs.qplanes.simdView() : simd::QPlaneView{};
-        hs.bui = computeBuiTable(qs_[static_cast<std::size_t>(gi)],
-                                 bits);
-        hs.guard = GuardFilter(cfg_.alpha, cfg_.radius, logit_scale);
-        hs.retained.clear();
-        hs.retained_scores.clear();
-    }
 
     const bool windowed = retention_.enabled();
     // The retention window is relative to the stream AS THE QUERY
@@ -205,79 +188,60 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
                 order_.begin(), order_.end());
     }
 
-    DecodeStep res;
-    const uint64_t planes_before = stats_.planes_processed;
-    const uint64_t planes_total_before = stats_.planes_total;
+    // Stage per-head query state once per step; the key loop below
+    // only reads it.
+    for (int gi = 0; gi < g; gi++) {
+        HeadState &hs = heads_[static_cast<std::size_t>(gi)];
+        hs.scan.start(qs_[static_cast<std::size_t>(gi)], kernel, bits,
+                      GuardFilter(cfg_.alpha, cfg_.radius, logit_scale),
+                      hs.planes.data(), hs.keep.data());
+    }
 
-    // The padeAttention inner loop, key-outer / query-head-inner: the
-    // (page, row) mapping, the packed plane row, and the cached
-    // PlaneWork entries are KV-head state — resolved once per key and
+    // The guarded scan, key-outer / query-head-inner: the (page, row)
+    // mapping, the packed plane row and the cached PlaneWork entries
+    // are KV-head state — resolved once per key (the page once per
+    // run of consecutive keys on it; ISTA tiles are such runs) and
     // reused by every query head of the group. Skips (causal,
     // evicted) happen before any stats, exactly like padeAttention's
     // causal skip; the retention window needs no skip here because a
     // windowed order_ already excludes dead-middle keys.
-    for (int j : order_) {
-        if (j > qpos)
-            continue; // causal / not yet prefilled
-        if (!cache.pageLive(cache.pageOf(j)))
-            continue; // front-dropped or middle-reclaimed pages
-        const int page = cache.pageOf(j);
-        const int local = cache.rowOf(j);
-        const BitPlaneSet &kp = cache.pagePlanes(page);
-        const PlaneWork *wrow = cache.pageWork(page).data() +
-            static_cast<std::size_t>(local) * bits;
-        res.keys++;
-
-        for (int gi = 0; gi < g; gi++) {
-            HeadState &hs = heads_[static_cast<std::size_t>(gi)];
-            stats_.keys_total++;
-            stats_.planes_total += static_cast<uint64_t>(bits);
-
-            int64_t score = 0;
-            bool pruned = false;
-            for (int r = 0; r < bits; r++) {
-                score += simd_qk
-                    ? static_cast<int64_t>(kp.planeWeight(r)) *
-                        simd::maskedSumAvx2(hs.qview,
-                                            kp.plane(local, r).data(),
-                                            kp.wordsPerPlane())
-                    : packed_qk
-                    ? planeDelta(hs.qplanes, kp, local, r)
-                    : planeDeltaScalar(
-                          qs_[static_cast<std::size_t>(gi)], kp,
-                          local, r);
-                hs.planes[static_cast<std::size_t>(j)] =
-                    static_cast<uint8_t>(r + 1);
-                stats_.planes_processed++;
-
-                const PlaneWork &w = wrow[r];
-                stats_.ops_bs +=
-                    static_cast<uint64_t>(w.selected_bs);
-                stats_.ops_naive +=
-                    static_cast<uint64_t>(w.selected_naive);
-
-                hs.guard.observe(score + hs.bui.lower(r));
-                if (cfg_.guard_enabled &&
-                    hs.guard.shouldPrune(score + hs.bui.upper(r))) {
-                    pruned = true;
-                    break;
-                }
+    DecodeStep res;
+    PruneStats st;
+    const ScanPlan plan(kernel, bits, planeStrideWords((h + 63) / 64),
+                        cfg_.guard_enabled);
+    withQkKernel(kernel, [&](auto k) {
+        int cur_page = -1;
+        const BitPlaneSet *page_planes = nullptr;
+        const PlaneWork *page_work = nullptr;
+        for (int j : order_) {
+            if (j > qpos)
+                continue; // causal / not yet prefilled
+            const int page = cache.pageOf(j);
+            if (page != cur_page) {
+                if (!cache.pageLive(page))
+                    continue; // front-dropped or middle-reclaimed
+                cur_page = page;
+                page_planes = &cache.pagePlanes(page);
+                page_work = cache.pageWork(page).data();
             }
-            if (!pruned) {
-                hs.keep[static_cast<std::size_t>(j)] = 1;
-                stats_.keys_retained++;
-                hs.retained.push_back(j);
-                hs.retained_scores.push_back(score);
-            }
+            const int local = cache.rowOf(j);
+            const uint64_t *kplanes =
+                page_planes->rowPlanes(local).data();
+            const PlaneWork *work =
+                page_work + static_cast<std::size_t>(local) * bits;
+            res.keys++;
+            for (int gi = 0; gi < g; gi++)
+                scanKey(k, plan, heads_[static_cast<std::size_t>(gi)].scan,
+                        kplanes, work, j, st);
         }
-    }
+    });
     for (int gi = 0; gi < g; gi++) {
-        stats_.threshold_updates +=
-            heads_[static_cast<std::size_t>(gi)].guard.updates();
-        res.retained += static_cast<int>(
-            heads_[static_cast<std::size_t>(gi)].retained.size());
+        const ScanQuery &sq = heads_[static_cast<std::size_t>(gi)].scan;
+        st.threshold_updates += sq.guard.updates();
+        res.retained += static_cast<int>(sq.retained.size());
     }
-    res.planes = stats_.planes_processed - planes_before;
+    stats_ += st;
+    res.planes = st.planes_processed;
     if constexpr (obs::kTelemetryEnabled) {
         DecodeMetrics &m = DecodeMetrics::get();
         // Per-query-head totals, matching PruneStats semantics: the
@@ -288,8 +252,7 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
                            static_cast<uint64_t>(g));
         m.keys_retained.add(static_cast<uint64_t>(res.retained));
         m.planes_consumed.add(res.planes);
-        m.planes_total.add(stats_.planes_total -
-                           planes_total_before);
+        m.planes_total.add(st.planes_total);
     }
 
     // ISTA value stage per head, tiled by Bc in scan order — the
@@ -300,21 +263,19 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     // it without allocation.
     tile_scores_.resize(static_cast<std::size_t>(cfg_.tile_bc));
     for (int gi = 0; gi < g; gi++) {
-        HeadState &hs = heads_[static_cast<std::size_t>(gi)];
+        const ScanQuery &sq = heads_[static_cast<std::size_t>(gi)].scan;
         softmax_.reset(h);
-        for (std::size_t base = 0; base < hs.retained.size();
+        for (std::size_t base = 0; base < sq.retained.size();
              base += static_cast<std::size_t>(cfg_.tile_bc)) {
             const std::size_t hi = std::min(
-                hs.retained.size(),
+                sq.retained.size(),
                 base + static_cast<std::size_t>(cfg_.tile_bc));
             const std::size_t n = hi - base;
             tile_rows_.resize(n);
             for (std::size_t t = 0; t < n; t++) {
                 tile_scores_[t] = logit_scale *
-                    static_cast<float>(
-                        hs.retained_scores[base + t]);
-                tile_rows_[t] =
-                    cache.valueRow(hs.retained[base + t]);
+                    static_cast<float>(sq.scores[base + t]);
+                tile_rows_[t] = cache.valueRow(sq.retained[base + t]);
             }
             softmax_.update(
                 std::span<const float>(tile_scores_).first(n),

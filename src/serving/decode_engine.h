@@ -10,7 +10,8 @@
  * termination, ISTA stage-fused softmax·V — against the tokens of a
  * `KvCache`.
  *
- * Three entry points share one inner loop:
+ * Three entry points share one key loop, which runs the guarded-scan
+ * core (core/guarded_scan.h) that batch padeAttention runs too:
  *
  *  - step(): one query row attends over every cached token (the PR 4
  *    decode contract, unchanged);
@@ -62,10 +63,8 @@
 
 #include "attention/online_softmax.h"
 #include "common/check.h"
-#include "core/bui.h"
-#include "core/guard_filter.h"
+#include "core/guarded_scan.h"
 #include "core/pade_attention.h"
-#include "core/simd/qk_avx2.h"
 #include "serving/kv_cache.h"
 #include "tensor/matrix.h"
 
@@ -223,7 +222,7 @@ class DecodeEngine
     std::span<const int>
     lastRetained(int g = 0) const
     {
-        return headRef(g).retained;
+        return headRef(g).scan.retained;
     }
     /** Planes consumed per token by head @p g last step: value r
      *  means planes 0..r-1 were consumed before retention/pruning;
@@ -246,12 +245,7 @@ class DecodeEngine
     /** Per-query-head scratch, persistent across steps (grow-only). */
     struct HeadState
     {
-        QueryPlanes qplanes;
-        simd::QPlaneView qview{};
-        BuiTable bui;
-        GuardFilter guard{1.0, 0.0, 1.0};
-        std::vector<int> retained;
-        std::vector<int64_t> retained_scores;
+        ScanQuery scan;
         std::vector<uint8_t> planes;
         std::vector<uint8_t> keep;
         /** Positions the last windowed step may have written into

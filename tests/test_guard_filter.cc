@@ -96,5 +96,28 @@ TEST(GuardFilter, MaxLowerBoundAccessor)
     EXPECT_EQ(g.maxLowerBound(), 7);
 }
 
+TEST(GuardFilterDeathTest, InvalidConfigAbortsInEveryBuild)
+{
+    // A negative alpha or radius makes the margin negative, the
+    // overflow test in threshold() then reads every threshold as -inf
+    // and pruning silently turns off; the constructor refuses instead
+    // (a PADE_CHECK, so Release builds refuse too).
+    EXPECT_DEATH(GuardFilter(-0.5, 5.0, 0.1), "PADE_CHECK.*alpha");
+    EXPECT_DEATH(GuardFilter(1.5, 5.0, 0.1), "PADE_CHECK.*alpha");
+    EXPECT_DEATH(GuardFilter(0.5, -1.0, 0.1), "PADE_CHECK.*radius");
+    EXPECT_DEATH(GuardFilter(0.5, 5.0, 0.0), "PADE_CHECK.*logit_scale");
+    EXPECT_DEATH(GuardFilter(0.5, 5.0, -1.0), "PADE_CHECK.*logit_scale");
+}
+
+TEST(GuardFilter, BoundaryConfigsAreAccepted)
+{
+    GuardFilter lo(0.0, 0.0, 1e-6);
+    GuardFilter hi(1.0, 5.0, 1e6);
+    lo.observe(10);
+    hi.observe(10);
+    EXPECT_EQ(lo.threshold(), 10);
+    EXPECT_EQ(hi.threshold(), 10);
+}
+
 } // namespace
 } // namespace pade

@@ -854,5 +854,75 @@ TEST(PlaneWorkReuse, RevisionAdvancesOnAppend)
     EXPECT_NE(other.revision(), planes.revision());
 }
 
+// ---------------------------------------------------------------------
+// Efficiency gate: pruning work pinned to exact counts.
+// ---------------------------------------------------------------------
+
+/**
+ * One fixed ModelWorkload layer (head_dim 64, 4 query heads on one KV
+ * head, 8-bit keys, a 256-token scored prefill and 40 decode steps)
+ * served through a LayerEngine with every kernel. The summed
+ * PruneStats are a pure function of the workload, so they are pinned
+ * to exact values: a change that shifts what the guard prunes, how
+ * many planes a key consumes or how the value stage rescales fails
+ * here deterministically, where wall-clock benchmarks would only see
+ * noise.
+ */
+TEST(EfficiencyGate, PinnedPruneStatsForEveryKernel)
+{
+    ModelSpec spec;
+    spec.layers = 1;
+    spec.heads = 4;
+    spec.kv_heads = 1;
+    spec.head_dim = 64;
+    spec.bits = 8;
+    spec.prompt_len = 256;
+    spec.decode_steps = 40;
+    spec.seed = 19;
+    const ModelWorkload work(spec);
+    const float v_scale = work.vScale();
+    const float logit_scale = work.logitScale();
+
+    for (QkKernel kernel : {QkKernel::kScalar, QkKernel::kPopcount,
+                            QkKernel::kSimd}) {
+        SCOPED_TRACE(qkKernelName(kernel));
+        LayerEngineConfig lc;
+        lc.heads = spec.heads;
+        lc.kv_heads = spec.kv_heads;
+        lc.head_dim = spec.head_dim;
+        lc.bits = spec.bits;
+        lc.page_tokens = 64;
+        lc.pade.qk_kernel = kernel;
+        LayerEngine layer(lc, std::span<const float>(&v_scale, 1));
+
+        MatrixI8 k(spec.kv_heads, spec.head_dim);
+        MatrixI8 v(spec.kv_heads, spec.head_dim);
+        MatrixI8 q(spec.heads, spec.head_dim);
+        MatrixF out(spec.heads, spec.head_dim);
+        const std::span<const float> scales(&logit_scale, 1);
+        for (int pos = 0; pos < spec.positions(); pos++) {
+            work.stageKv(0, pos, k, v);
+            work.stageQueries(0, pos, q);
+            layer.appendToken(k, v);
+            if (pos < spec.prompt_len)
+                layer.prefillPosition(q, pos, spec.prompt_len, scales,
+                                      out);
+            else
+                layer.decode(q, scales, out);
+        }
+
+        const PruneStats s = layer.stats();
+        EXPECT_EQ(s.keys_total, 175824u);
+        EXPECT_EQ(s.keys_retained, 16177u);
+        EXPECT_EQ(s.planes_total, 1406592u);
+        EXPECT_EQ(s.planes_processed, 854360u);
+        EXPECT_EQ(s.ops_bs, 19898912u);
+        EXPECT_EQ(s.ops_naive, 26583256u);
+        EXPECT_EQ(s.max_updates, 162u);
+        EXPECT_EQ(s.rescale_ops, 21060u);
+        EXPECT_EQ(s.threshold_updates, 20286u);
+    }
+}
+
 } // namespace
 } // namespace pade

@@ -1,10 +1,12 @@
 /**
  * @file
  * Tests for the QK kernel dispatch seam (core/simd/qk_dispatch.h) and
- * the AVX2 backend's bit-exactness against the scalar oracle,
+ * the SIMD backend's bit-exactness against the scalar oracle,
  * including the remainder/tail shapes that exercise masked loads and
  * padded storage: head_dims that are not multiples of the SIMD width
  * and the boundary between the value-domain and plane-domain kernels.
+ * The per-key guarded kernels (popcount, AVX2, AVX-512BW) are checked
+ * against a replay built from planeDeltaScalar and GuardFilter.
  *
  * Every parity test also passes in non-AVX2 builds (or on non-AVX2
  * hosts): the *Simd entry points then fall back to the popcount
@@ -14,11 +16,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <span>
 
 #include "common/rng.h"
 #include "core/bit_serial.h"
+#include "core/bui.h"
+#include "core/guard_filter.h"
+#include "core/guarded_scan.h"
 #include "core/simd/cpu_features.h"
 #include "core/simd/qk_dispatch.h"
+#include "core/simd/qk_simd.h"
 #include "quant/bitplane.h"
 
 namespace pade {
@@ -99,10 +107,22 @@ TEST(QkDispatch, DefaultMatchesAvailability)
 TEST(QkDispatch, SimdAvailabilityImpliesCpuSupport)
 {
     // qkSimdAvailable() must never report true without both the
-    // compiled backend and full runtime (CPU + OS) support.
+    // compiled backend and full runtime (CPU + OS) support, and the
+    // AVX-512BW per-key kernel must never be selected without
+    // AVX-512F/BW and OS-saved opmask + ZMM state.
+    const simd::CpuFeatures &f = simd::cpuFeatures();
     if (qkSimdAvailable()) {
-        const simd::CpuFeatures &f = simd::cpuFeatures();
         EXPECT_TRUE(f.avx2);
+        EXPECT_TRUE(f.os_ymm);
+    }
+    if (simd::keyKernel() == &simd::scoreKeyAvx512) {
+        EXPECT_TRUE(simd::qkAvx512Compiled());
+        EXPECT_TRUE(f.avx512f);
+        EXPECT_TRUE(f.avx512bw);
+        EXPECT_TRUE(f.os_zmm);
+    }
+    // ZMM state implies YMM state (XCR0 bits 1-2 are part of 0xE6).
+    if (f.os_zmm) {
         EXPECT_TRUE(f.os_ymm);
     }
 }
@@ -251,6 +271,132 @@ TEST_P(SimdTailTest, PartialAndExactDotSimdMatchScalar)
             EXPECT_EQ(exactDotSimd(qp, planes, j), ref);
         }
     }
+}
+
+/**
+ * Independent oracle for one key of a guarded scan: planeDeltaScalar
+ * per plane, folded through GuardFilter's own methods.
+ */
+KeyScore
+replayGuardedKey(std::span<const int8_t> q, const BitPlaneSet &keys,
+                 int key, const BuiTable &bui, GuardFilter &guard,
+                 bool prune)
+{
+    int64_t score = 0;
+    for (int r = 0; r < keys.numPlanes(); r++) {
+        score += planeDeltaScalar(q, keys, key, r);
+        guard.observe(score + bui.lower(r));
+        if (prune && guard.shouldPrune(score + bui.upper(r)))
+            return {score, r + 1, true};
+    }
+    return {score, keys.numPlanes(), false};
+}
+
+/** One per-key kernel under test: score key j, updating the guard. */
+using PerKeyRunner = std::function<KeyScore(
+    const QueryPlanes &qp, std::span<const int8_t> q,
+    const BitPlaneSet &keys, int key, const BuiTable &bui,
+    GuardFilter &guard, bool prune)>;
+
+/**
+ * Walk 24 keys of every bit-width with one guard per (bits, prune)
+ * sweep, so guard state carries across keys as in a real scan, and
+ * require the kernel to match the replay key by key: score, planes
+ * consumed, verdict, guard maximum and update count. The guard band
+ * is narrow enough that both verdicts occur at every head_dim.
+ */
+void
+expectPerKeyMatchesReplay(int cols, const PerKeyRunner &run)
+{
+    for (int bits : {2, 4, 8}) {
+        MatrixI8 q = randomRanged(1, cols, 8, 600 + cols + bits, 0.55);
+        MatrixI8 k = randomRanged(24, cols, bits, 700 + cols + bits);
+        const BitPlaneSet keys(k, bits);
+        const QueryPlanes qp(q.row(0));
+        const BuiTable bui = computeBuiTable(q.row(0), bits);
+        const double logit_scale = 1.0 / (8.0 * cols);
+        for (bool prune : {false, true}) {
+            GuardFilter ref(0.5, 5.0, logit_scale);
+            GuardFilter got(0.5, 5.0, logit_scale);
+            int pruned = 0;
+            for (int j = 0; j < keys.numRows(); j++) {
+                const KeyScore want =
+                    replayGuardedKey(q.row(0), keys, j, bui, ref, prune);
+                const KeyScore have =
+                    run(qp, q.row(0), keys, j, bui, got, prune);
+                SCOPED_TRACE(testing::Message()
+                             << "cols=" << cols << " bits=" << bits
+                             << " prune=" << prune << " key=" << j);
+                EXPECT_EQ(have.score, want.score);
+                EXPECT_EQ(have.planes, want.planes);
+                EXPECT_EQ(have.pruned, want.pruned);
+                EXPECT_EQ(got.maxLowerBound(), ref.maxLowerBound());
+                EXPECT_EQ(got.updates(), ref.updates());
+                pruned += want.pruned;
+            }
+            if (prune && bits == 8) {
+                EXPECT_GT(pruned, 0) << "cols=" << cols;
+            }
+        }
+    }
+}
+
+/** A raw per-key SIMD kernel, called directly (not via keyKernel). */
+PerKeyRunner
+directRunner(simd::KeyKernel kernel)
+{
+    return [kernel](const QueryPlanes &qp, std::span<const int8_t>,
+                    const BitPlaneSet &keys, int key,
+                    const BuiTable &bui, GuardFilter &guard,
+                    bool prune) {
+        const simd::KeyGuard g{&guard, bui.lo.data(), bui.hi.data(),
+                               prune};
+        return kernel(qp.simdView(), keys.rowPlanes(key).data(),
+                      keys.planeStride(), keys.numPlanes(),
+                      keys.numPlanes(), &g);
+    };
+}
+
+TEST_P(SimdTailTest, PerKeyPopcountMatchesGuardedReplay)
+{
+    // The guarded scan's kPopcount call, through its scan state.
+    expectPerKeyMatchesReplay(
+        GetParam(),
+        [](const QueryPlanes &, std::span<const int8_t> q,
+           const BitPlaneSet &keys, int key, const BuiTable &,
+           GuardFilter &guard, bool prune) {
+            ScanQuery sq;
+            sq.start(q, QkKernel::kPopcount, keys.numPlanes(), guard,
+                     nullptr, nullptr);
+            const ScanPlan plan(QkKernel::kPopcount, keys.numPlanes(),
+                                keys.planeStride(), prune);
+            const KeyScore ks =
+                scoreKey(QkKernelTag<QkKernel::kPopcount>{}, plan, sq,
+                         keys.rowPlanes(key).data());
+            guard = sq.guard;
+            return ks;
+        });
+}
+
+TEST_P(SimdTailTest, PerKeyAvx2MatchesGuardedReplay)
+{
+    // Called directly, so it stays covered on hosts where kSimd runs
+    // the AVX-512BW kernel. Off-AVX2 builds run the portable stub.
+    if (simd::qkAvx2Compiled() && !qkSimdAvailable())
+        GTEST_SKIP() << "CPU/OS lacks AVX2";
+    expectPerKeyMatchesReplay(GetParam(),
+                              directRunner(&simd::scoreKeyAvx2));
+}
+
+TEST_P(SimdTailTest, PerKeyAvx512MatchesGuardedReplay)
+{
+    const simd::CpuFeatures &f = simd::cpuFeatures();
+    if (!(f.avx512f && f.avx512bw && f.os_zmm))
+        GTEST_SKIP() << "CPU/OS lacks AVX-512BW";
+    if (simd::qkAvx2Compiled() && !qkSimdAvailable())
+        GTEST_SKIP() << "CPU/OS lacks AVX2";
+    expectPerKeyMatchesReplay(GetParam(),
+                              directRunner(&simd::scoreKeyAvx512));
 }
 
 INSTANTIATE_TEST_SUITE_P(TailShapes, SimdTailTest,
