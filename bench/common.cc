@@ -160,7 +160,7 @@ measureServingDecode(const ServingDecodePoint &pt,
     kc.v_scale = head.v.params.scale;
 
     ServingDecodeCost cost;
-    std::vector<float> out(static_cast<std::size_t>(pt.head_dim));
+    MatrixF out(1, pt.head_dim);
 
     // Cache-maintenance component alone: appends at full context,
     // best of reps (each rep rebuilds to keep the work identical).
@@ -188,8 +188,8 @@ measureServingDecode(const ServingDecodePoint &pt,
             const int pos = pt.ctx + t;
             cache.appendToken(head.k.values.row(pos),
                               head.v.values.row(pos));
-            engine.step(cache, head.q.values.row(t),
-                        head.logit_scale, out);
+            engine.stepGroup(cache, head.q.values, t, 1,
+                             head.logit_scale, out, 0);
         }
         cost.cached_us_per_tok = usSince(t0) / pt.steps;
         cost.keep_rate = engine.stats().keepRate();
@@ -208,8 +208,8 @@ measureServingDecode(const ServingDecodePoint &pt,
             for (int p = 0; p <= pt.ctx + t; p++)
                 fresh.appendToken(head.k.values.row(p),
                                   head.v.values.row(p));
-            engine.step(fresh, head.q.values.row(t),
-                        head.logit_scale, out);
+            engine.stepGroup(fresh, head.q.values, t, 1,
+                             head.logit_scale, out, 0);
         }
         cost.repack_us_per_tok = usSince(t0) / pt.steps;
     }

@@ -116,13 +116,12 @@ struct ServingDecodeCost
 };
 
 /**
- * Shared cached-vs-repack serving harness (perf_suite section 5 and
- * examples/long_context_decode drive the same protocol): prefill a
- * KvCache to ctx tokens, decode `steps` tokens incrementally
- * (append + guarded DecodeEngine step), then decode the same tokens
- * rebuilding the cache from scratch per token. Also times the
- * append-only component at full context — the number that must stay
- * flat as ctx grows.
+ * Cached-vs-repack serving harness (examples/long_context_decode
+ * drives it): prefill a KvCache to ctx tokens, decode `steps` tokens
+ * incrementally (append + guarded DecodeEngine step), then decode
+ * the same tokens rebuilding the cache from scratch per token. Also
+ * times the append-only component at full context — the number that
+ * must stay flat as ctx grows.
  */
 ServingDecodeCost measureServingDecode(const ServingDecodePoint &pt,
                                        const PadeConfig &cfg);

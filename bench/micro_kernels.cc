@@ -91,22 +91,6 @@ BM_PlaneDeltaScalar(benchmark::State &state)
 BENCHMARK(BM_PlaneDeltaScalar);
 
 void
-BM_PlaneDeltaSimd(benchmark::State &state)
-{
-    const int h = static_cast<int>(state.range(0));
-    const QuantizedHead head = makeHead(1024, h);
-    const QueryPlanes q(head.q.values.row(0));
-    int j = 0;
-    for (auto _ : state) {
-        const int64_t d = planeDeltaSimd(q, head.k_planes, j, 0);
-        benchmark::DoNotOptimize(d);
-        j = (j + 1) % 1024;
-    }
-    state.SetItemsProcessed(state.iterations() * h);
-}
-BENCHMARK(BM_PlaneDeltaSimd)->Arg(128)->Arg(256)->Arg(512);
-
-void
 BM_ExactDot(benchmark::State &state)
 {
     const QuantizedHead head = makeHead(1024, 128);

@@ -4,53 +4,30 @@
  * machine-readable BENCH_perf.json so the performance trajectory is
  * visible across PRs (CI uploads the file as an artifact).
  *
- * Nine stages are measured:
+ * Five stages are measured, kernel and flatness checks that the
+ * serving benchmark (servbench/) does not cover:
  *  1. QK scoring kernel — the three-way kernel comparison (scalar
- *     ctz-walk oracle, word-parallel popcount, AVX2 SIMD backend)
+ *     ctz-walk oracle, word-parallel popcount, per-key SIMD kernel)
  *     across {seq, bits, head_dim} points, including the
  *     head_dim >= 128 rows the SIMD backend targets;
  *  2. full padeAttention under all kernel dispatches, with a reused
  *     PadeWorkspace (the allocation-free hot path);
  *  3. reference attention — cache-blocked dense matmul path and the
  *     tiled flash recurrence (the oracle every figure bench pays for);
- *  4. a batch-driver sweep across {seq, bits, concentration} points,
- *     fanned over the thread pool (the fig17-style DSE bottleneck);
- *  5. serving decode — per-token cost of the incremental KvCache
- *     (append + guarded step) against re-packing the full history
- *     every token, across context lengths. The append (cache
- *     maintenance) component is context-independent for the cached
- *     path and linear in context for re-pack — the subsystem's
- *     headline property;
- *  6. GQA layer decode — per-token cost of a whole 8-query-head
+ *  4. GQA layer decode — per-token cost of a whole 8-query-head
  *     layer at KV-sharing ratios 1:1 / 4:1 / 8:1 (LayerEngine with
  *     shared caches), against 8x the single-head cost. Sharing the
  *     KV stream amortizes the append and the per-key page/PlaneWork
  *     lookups across the group, so the grouped cost sits measurably
  *     below heads-times-single — and KV residency scales with
  *     kv_heads, not heads;
- *  7. model serving — (a) the ModelEngine's software-pipelined layer
- *     schedule against the serial layer-by-layer reference at 2 and 4
- *     layers: wall time (same pool for both, so the GQA fan-out is
- *     held equal) plus the round (critical-path span) speedup, the
- *     schedule property the wall ratio realizes once the host has
- *     >= layers cores; and (b) a
- *     ContinuousBatcher run over a shared-prefix trace with the
- *     cross-session prefix cache off vs on — adopted prompt tokens,
- *     KV bytes never re-materialized, and the (bit-identical)
- *     checksum match;
- *  8. telemetry overhead — the pipelined model decode of stage 7
- *     timed with trace-span recording off (metric counters only, the
- *     permanent registry cost) and on (ring-buffered round/unit
- *     spans); the delta is the observability tax and must stay under
- *     2% (docs/OBSERVABILITY.md);
- *  9. windowed decode — per-token decode cost of a layer under a
+ *  5. windowed decode — per-token decode cost of a layer under a
  *     sink+recency retention window at context 4096 vs 16384, which
  *     must stay flat (the scan order and its scratch clearing are
  *     O(window), not O(context)).
  *
  * Flags: --quick (CI smoke: fewer/smaller points), --reps=N best-of
- * repetitions (default 3), --out=FILE (default BENCH_perf.json),
- * --threads=N sweep workers (default hardware).
+ * repetitions (default 3), --out=FILE (default BENCH_perf.json).
  */
 
 #include <chrono>
@@ -63,14 +40,9 @@
 #include "bench/common.h"
 #include "core/pade_attention.h"
 #include "core/simd/qk_dispatch.h"
-#include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "quant/bitplane.h"
-#include "runtime/batch_driver.h"
 #include "runtime/thread_pool.h"
-#include "serving/continuous_batcher.h"
 #include "serving/layer_engine.h"
-#include "serving/model_engine.h"
 #include "workload/generator.h"
 
 using namespace pade;
@@ -186,7 +158,7 @@ makeHead(int seq, int bits, int head_dim = 128, int queries = 8,
     return quantizeHead(generateHead(spec), bits);
 }
 
-/** Measured cost of one GQA layer configuration (section 6). */
+/** Measured cost of one GQA layer configuration (section 4). */
 struct GqaDecodeCost
 {
     double layer_us_per_tok = 0.0; //!< whole layer: appends + decode
@@ -197,7 +169,7 @@ struct GqaDecodeCost
  * Per-token decode cost of one whole layer: prefill ctx tokens
  * (untimed), then time `steps` rounds of KV append + grouped decode
  * across every head, best of `reps` fresh engines. An enabled
- * @p retention policy windows the decode scan (section 9 measures
+ * @p retention policy windows the decode scan (section 5 measures
  * its context-independence with it).
  */
 GqaDecodeCost
@@ -272,89 +244,6 @@ measureGqaDecode(int heads, int kv_heads, int ctx, int steps, int reps,
     return cost;
 }
 
-/** Section 7a measurement: wall time and scheduling-round count. */
-struct ModelServeCost
-{
-    double us_per_tok = 0.0;
-    /** advance() rounds to drain the stream. A pipelined round runs
-     *  its flights concurrently (one unit of critical-path span);
-     *  a serial round runs one whole token (`layers` units of span).
-     *  serial_rounds * layers / pipelined_rounds is therefore the
-     *  schedule's critical-path speedup given >= layers workers —
-     *  deterministic, unlike the wall ratio, which saturates at the
-     *  host's actual core count (1.0 on a single-core runner). */
-    int64_t rounds = 0;
-};
-
-/**
- * Per-position cost of one whole-model token stream (section 7a):
- * every position of a ctx-token prompt plus `steps` decode tokens is
- * fed up front and the engine drained once, so the pipelined schedule
- * keeps its flight window full — layer l of token t overlapping layer
- * l+1 of token t-1 — while the serial reference schedule runs the
- * identical stream layer-by-layer. Both schedules get the SAME pool
- * (the serial one still fans its GQA groups out on it), so the ratio
- * isolates the pipeline overlap.
- */
-ModelServeCost
-measureModelServe(int layers, bool pipeline, ThreadPool *pool, int ctx,
-                  int steps, int reps, int64_t &checksum)
-{
-    ModelSpec spec;
-    spec.layers = layers;
-    spec.heads = 8;
-    spec.kv_heads = 2;
-    spec.head_dim = 64;
-    spec.prompt_len = ctx;
-    spec.decode_steps = steps;
-    spec.seed = 42;
-    ModelWorkload work(spec);
-
-    ModelEngineConfig mc;
-    mc.layers = layers;
-    mc.pipeline = pipeline;
-    mc.layer.heads = spec.heads;
-    mc.layer.kv_heads = spec.kv_heads;
-    mc.layer.head_dim = spec.head_dim;
-    mc.layer.page_tokens = 64;
-
-    const auto streams = static_cast<std::size_t>(layers) *
-        static_cast<std::size_t>(spec.kv_heads);
-    const std::vector<float> v_scales(streams, work.vScale());
-    const std::vector<float> logit_scales(streams, work.logitScale());
-
-    ModelServeCost cost;
-    for (int r = 0; r < std::max(1, reps); r++) {
-        int64_t retained = 0;
-        ModelEngine engine(
-            mc, v_scales, logit_scales,
-            [&work](int layer, int pos, MatrixI8 &k, MatrixI8 &v,
-                    MatrixI8 &q) {
-                work.stageKv(layer, pos, k, v);
-                work.stageQueries(layer, pos, q);
-            },
-            [&retained](const TokenResult &tr) {
-                for (const LayerStep &st : tr.steps)
-                    retained += st.retained;
-            });
-        int64_t rounds = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int pos = 0; pos < spec.positions(); pos++)
-            engine.feed(pos, spec.prompt_len);
-        while (engine.advance(pool))
-            rounds++;
-        const double us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count() /
-            spec.positions();
-        checksum += retained;
-        cost.rounds = rounds;
-        if (r == 0 || us < cost.us_per_tok)
-            cost.us_per_tok = us;
-    }
-    return cost;
-}
-
 } // namespace
 
 int
@@ -364,8 +253,6 @@ main(int argc, char **argv)
     const bool quick = cli.getBool("quick");
     const int reps = static_cast<int>(cli.getInt("reps", quick ? 2 : 3));
     const std::string out_path = cli.get("out", "BENCH_perf.json");
-    const int sweep_threads = static_cast<int>(
-        cli.getInt("threads", ThreadPool::hardwareThreads()));
 
     banner(std::string("PADE perf suite (") +
            (quick ? "quick" : "full") + ", best of " +
@@ -387,7 +274,7 @@ main(int argc, char **argv)
     //    SIMD backend targets (ISSUE 3 acceptance: >= 1.5x over
     //    popcount there).
     // ------------------------------------------------------------------
-    std::printf("\n[1/9] QK scoring kernel (exactDot over all pairs; "
+    std::printf("\n[1/5] QK scoring kernel (exactDot over all pairs; "
                 "simd %s)\n",
                 qkSimdAvailable() ? "available" : "UNAVAILABLE");
     Table t1;
@@ -468,7 +355,7 @@ main(int argc, char **argv)
     //    workspace. kSimd silently resolves to kPopcount when the
     //    backend is unavailable (the two columns then read the same).
     // ------------------------------------------------------------------
-    std::printf("\n[2/9] padeAttention (guarded, workspace reuse)\n");
+    std::printf("\n[2/5] padeAttention (guarded, workspace reuse)\n");
     Table t2;
     t2.header({"seq", "scalar ms", "popcount ms", "simd ms",
                "simd/scalar", "keep rate"});
@@ -512,7 +399,7 @@ main(int argc, char **argv)
     // ------------------------------------------------------------------
     // 3. Reference attention (cache-blocked matmul path + flash).
     // ------------------------------------------------------------------
-    std::printf("\n[3/9] reference attention (oracle path)\n");
+    std::printf("\n[3/5] reference attention (oracle path)\n");
     Table t3;
     t3.header({"seq", "queries", "dense ms", "flash ms"});
     json.openArray("reference");
@@ -546,98 +433,16 @@ main(int argc, char **argv)
     t3.print();
 
     // ------------------------------------------------------------------
-    // 4. Batch-driver sweep across {seq, bits, concentration}.
-    // ------------------------------------------------------------------
-    std::printf("\n[4/9] batch-driver sweep (%d workers)\n",
-                sweep_threads);
-    std::vector<BatchItem> sweep;
-    for (int seq : quick ? std::vector<int>{2048}
-                         : std::vector<int>{2048, 8192})
-        for (int bits : {8, 4})
-            for (double conc : {0.75, 1.25}) {
-                BatchItem item;
-                item.req.model = llama2_7b();
-                item.req.model.concentration = conc;
-                item.req.dataset = dsWikitext2();
-                item.req.dataset.seq_len = seq;
-                item.req.bits = bits;
-                item.req.max_sim_seq = 2048;
-                sweep.push_back(item);
-            }
-    const BatchDriver driver(BatchOptions{.threads = sweep_threads,
-                                          .seed_base = 7});
-    const double sweep_ms = bestMs(1, [&] {
-        const BatchResult res = driver.run(sweep);
-        checksum += res.completed;
-        if (res.failed > 0)
-            std::fprintf(stderr, "sweep: %d requests failed\n",
-                         res.failed);
-    });
-    std::printf("%zu requests in %.1f ms\n", sweep.size(), sweep_ms);
-    json.openObject("batch_sweep");
-    json.field("requests", static_cast<int64_t>(sweep.size()));
-    json.field("threads", static_cast<int64_t>(sweep_threads));
-    json.field("wall_ms", sweep_ms);
-    json.close();
-
-    // ------------------------------------------------------------------
-    // 5. Serving decode: incremental KvCache vs full re-pack. The
-    //    cached pack cost (append only) must stay flat across context
-    //    lengths — it is O(bits * head_dim) per token — while the
-    //    re-pack cost is O(context); the total step cost additionally
-    //    carries the O(context) guarded scan both paths share.
-    // ------------------------------------------------------------------
-    std::printf("\n[5/9] serving decode (incremental KvCache vs "
-                "re-pack)\n");
-    Table t5;
-    t5.header({"ctx", "append us/tok", "cached us/tok",
-               "repack us/tok", "repack/cached", "decode tok/s"});
-    json.openArray("serving_decode");
-    const int serve_steps = quick ? 6 : 12;
-    for (int ctx : quick ? std::vector<int>{512, 1024}
-                         : std::vector<int>{1024, 2048, 4096}) {
-        ServingDecodePoint pt;
-        pt.ctx = ctx;
-        pt.steps = serve_steps;
-        pt.reps = reps;
-        const ServingDecodeCost c =
-            measureServingDecode(pt, PadeConfig{});
-        checksum += c.pages;
-        // Coarse steady_clock ticks can measure a 0 us cached loop;
-        // keep the ratios finite so the JSON stays parseable.
-        const double cached_us = std::max(c.cached_us_per_tok, 1e-9);
-
-        t5.row({std::to_string(ctx),
-                Table::num(c.append_us_per_tok, 2),
-                Table::num(c.cached_us_per_tok, 1),
-                Table::num(c.repack_us_per_tok, 1),
-                Table::num(c.repack_us_per_tok / cached_us, 1),
-                Table::num(1e6 / cached_us, 0)});
-        json.openObject();
-        json.field("ctx", static_cast<int64_t>(ctx));
-        json.field("steps", static_cast<int64_t>(serve_steps));
-        json.field("append_us_per_tok", c.append_us_per_tok);
-        json.field("cached_us_per_tok", c.cached_us_per_tok);
-        json.field("repack_us_per_tok", c.repack_us_per_tok);
-        json.field("repack_vs_cached",
-                   c.repack_us_per_tok / cached_us);
-        json.field("decode_tok_per_s", 1e6 / cached_us);
-        json.close();
-    }
-    json.close(true);
-    t5.print();
-
-    // ------------------------------------------------------------------
-    // 6. GQA layer decode: a whole 8-head layer at KV sharing ratios
+    // 4. GQA layer decode: a whole 8-head layer at KV sharing ratios
     //    1:1 / 4:1 / 8:1 versus 8x the single-head cost. The shared
     //    cache amortizes appends and per-key page/PlaneWork lookups
     //    across the group (acceptance: the 8:1 ratio sits measurably
     //    below 1.0), and KV residency scales with kv_heads.
     // ------------------------------------------------------------------
-    std::printf("\n[6/9] GQA layer decode (8 query heads, shared KV "
+    std::printf("\n[4/5] GQA layer decode (8 query heads, shared KV "
                 "caches)\n");
-    Table t6;
-    t6.header({"heads", "kv", "ratio", "ctx", "layer us/tok",
+    Table t4;
+    t4.header({"heads", "kv", "ratio", "ctx", "layer us/tok",
                "us/tok/head", "vs heads x single", "KV MB"});
     json.openArray("gqa_decode");
     const int gqa_ctx = quick ? 512 : 1024;
@@ -660,7 +465,7 @@ main(int argc, char **argv)
         char ratio[16];
         std::snprintf(ratio, sizeof(ratio), "%d:1",
                       heads / kv_heads);
-        t6.row({std::to_string(heads), std::to_string(kv_heads),
+        t4.row({std::to_string(heads), std::to_string(kv_heads),
                 ratio, std::to_string(gqa_ctx),
                 Table::num(c.layer_us_per_tok, 1),
                 Table::num(c.layer_us_per_tok / heads, 1),
@@ -680,202 +485,14 @@ main(int argc, char **argv)
         json.close();
     }
     json.close(true);
-    t6.print();
+    t4.print();
 
     // ------------------------------------------------------------------
-    // 7. Model serving: (a) pipelined vs serial ModelEngine layer
-    //    schedule (same pool, same token stream — the ratio is the
-    //    pipeline overlap), (b) cross-session prefix caching in the
-    //    ContinuousBatcher (adopted tokens + KV bytes saved; the
-    //    checksums must match bit for bit, cache on or off).
-    // ------------------------------------------------------------------
-    std::printf("\n[7/9] model serving (pipelined layers, prefix "
-                "cache)\n");
-    Table t7;
-    t7.header({"layers", "serial us/tok", "pipelined us/tok",
-               "wall speedup", "round speedup"});
-    json.openArray("model_pipeline");
-    {
-        const int ctx = quick ? 192 : 384;
-        const int steps = quick ? 16 : 32;
-        ThreadPool pool(sweep_threads);
-        for (int layers : {2, 4}) {
-            const ModelServeCost serial = measureModelServe(
-                layers, false, &pool, ctx, steps, reps, checksum);
-            const ModelServeCost piped = measureModelServe(
-                layers, true, &pool, ctx, steps, reps, checksum);
-            // Critical-path span ratio of the two schedules: a serial
-            // round is `layers` sequential units, a pipelined round
-            // is one (its flights run concurrently). This is the
-            // speedup the pipeline delivers given >= layers workers;
-            // the wall ratio realizes it up to the host core count.
-            const double round_speedup =
-                static_cast<double>(serial.rounds * layers) /
-                static_cast<double>(piped.rounds);
-            t7.row({std::to_string(layers),
-                    Table::num(serial.us_per_tok, 1),
-                    Table::num(piped.us_per_tok, 1),
-                    Table::num(serial.us_per_tok / piped.us_per_tok,
-                               2),
-                    Table::num(round_speedup, 2)});
-            json.openObject();
-            json.field("layers", static_cast<int64_t>(layers));
-            json.field("ctx", static_cast<int64_t>(ctx));
-            json.field("decode_steps", static_cast<int64_t>(steps));
-            json.field("serial_us_per_tok", serial.us_per_tok);
-            json.field("pipelined_us_per_tok", piped.us_per_tok);
-            json.field("serial_rounds", serial.rounds);
-            json.field("pipelined_rounds", piped.rounds);
-            json.field("wall_speedup",
-                       serial.us_per_tok / piped.us_per_tok);
-            json.field("round_speedup_pipelined_vs_serial",
-                       round_speedup);
-            json.close();
-        }
-    }
-    json.close(true);
-    t7.print();
-
-    {
-        TraceSpec ts;
-        ts.num_requests = quick ? 10 : 16;
-        ts.rate_per_s = 4000.0;
-        ts.prompt_min = 24;
-        ts.prompt_max = 48;
-        ts.decode_min = 4;
-        ts.decode_max = 8;
-        ts.seed = 2026;
-        ts.prefix_groups = 2;
-        ts.prefix_tokens = 128;
-        const std::vector<ServingRequest> trace =
-            poissonArrivalTrace(ts);
-
-        BatcherOptions opt;
-        opt.threads = sweep_threads;
-        opt.max_active = 4;
-        opt.prefill_chunk = 32;
-        opt.layers = 2;
-        opt.heads = 4;
-        opt.kv_heads = 2;
-        opt.head_dim = 64;
-        opt.page_tokens = 64; // prefix spans exactly 2 shared pages
-        ServingReport cold;
-        ServingReport warm;
-        const double cold_ms = bestMs(1, [&] {
-            cold = ContinuousBatcher(opt).run(trace);
-        });
-        opt.prefix_cache = true;
-        const double warm_ms = bestMs(1, [&] {
-            warm = ContinuousBatcher(opt).run(trace);
-        });
-        checksum += static_cast<int64_t>(warm.checksum & 0xffff);
-
-        const bool match = cold.checksum == warm.checksum &&
-            cold.prefill_checksum == warm.prefill_checksum;
-        if (!match)
-            std::fprintf(stderr,
-                         "prefix cache changed outputs (BUG)\n");
-        const double hit_rate = warm.tokens_prefilled > 0
-            ? static_cast<double>(warm.tokens_prefix_hit) /
-                static_cast<double>(warm.tokens_prefilled)
-            : 0.0;
-        std::printf("prefix cache: %llu/%llu prompt tokens adopted "
-                    "(%.0f%%), %.2f MB KV never re-materialized, "
-                    "checksums %s (cold %.1f ms, warm %.1f ms)\n",
-                    static_cast<unsigned long long>(
-                        warm.tokens_prefix_hit),
-                    static_cast<unsigned long long>(
-                        warm.tokens_prefilled),
-                    hit_rate * 100.0,
-                    static_cast<double>(warm.prefix_bytes_saved) /
-                        1e6,
-                    match ? "MATCH" : "MISMATCH",
-                    cold_ms, warm_ms);
-
-        json.openObject("prefix_cache");
-        json.field("requests",
-                   static_cast<int64_t>(trace.size()));
-        json.field("prefix_groups",
-                   static_cast<int64_t>(ts.prefix_groups));
-        json.field("prefix_tokens",
-                   static_cast<int64_t>(ts.prefix_tokens));
-        json.field("cold_wall_ms", cold_ms);
-        json.field("warm_wall_ms", warm_ms);
-        json.field("tokens_prefilled",
-                   static_cast<int64_t>(warm.tokens_prefilled));
-        json.field("tokens_prefix_hit",
-                   static_cast<int64_t>(warm.tokens_prefix_hit));
-        json.field("hit_rate", hit_rate);
-        json.field("prefix_bytes_saved",
-                   static_cast<int64_t>(warm.prefix_bytes_saved));
-        json.field("index_published",
-                   static_cast<int64_t>(warm.prefix.published));
-        json.field("index_hit_pages",
-                   static_cast<int64_t>(warm.prefix.hit_pages));
-        json.field("checksum_match",
-                   std::string(match ? "true" : "false"));
-        json.close();
-    }
-
-    // ------------------------------------------------------------------
-    // 8. Telemetry overhead: the same pipelined model decode measured
-    //    with span recording disabled (metric counters still run —
-    //    that is the permanent, unavoidable cost of the registry) and
-    //    enabled (ring-buffer spans on every round/unit). The delta is
-    //    the full observability tax; acceptance target is < 2%. A
-    //    PADE_TELEMETRY=OFF build compiles both paths to no-ops, so
-    //    `telemetry_compiled` records which regime this run measured.
-    // ------------------------------------------------------------------
-    std::printf("\n[8/9] telemetry overhead (spans off vs on; compiled "
-                "%s)\n",
-                obs::kTelemetryEnabled ? "ON" : "OFF");
-    {
-        const int ctx = quick ? 192 : 384;
-        const int steps = quick ? 16 : 32;
-        ThreadPool pool(sweep_threads);
-        obs::setTraceEnabled(false);
-        const ModelServeCost spans_off = measureModelServe(
-            2, true, &pool, ctx, steps, reps, checksum);
-        obs::clearTrace();
-        obs::setTraceCapacity(1u << 20); // never wraps during the run
-        obs::setTraceEnabled(true);
-        const ModelServeCost spans_on = measureModelServe(
-            2, true, &pool, ctx, steps, reps, checksum);
-        obs::setTraceEnabled(false);
-        const obs::TraceStats tstats = obs::traceStats();
-        obs::clearTrace();
-        obs::setTraceCapacity(16384); // restore the default ring size
-
-        const double overhead_pct = spans_off.us_per_tok > 0.0
-            ? (spans_on.us_per_tok / spans_off.us_per_tok - 1.0) *
-                100.0
-            : 0.0;
-        std::printf("pipelined decode %.1f -> %.1f us/tok with spans "
-                    "(%+.2f%% overhead, %llu events buffered)\n",
-                    spans_off.us_per_tok, spans_on.us_per_tok,
-                    overhead_pct,
-                    static_cast<unsigned long long>(tstats.recorded));
-
-        json.openObject("telemetry_overhead");
-        json.field("telemetry_compiled",
-                   std::string(obs::kTelemetryEnabled ? "true"
-                                                      : "false"));
-        json.field("ctx", static_cast<int64_t>(ctx));
-        json.field("decode_steps", static_cast<int64_t>(steps));
-        json.field("us_per_tok_spans_off", spans_off.us_per_tok);
-        json.field("us_per_tok_spans_on", spans_on.us_per_tok);
-        json.field("overhead_pct", overhead_pct);
-        json.field("trace_events_recorded",
-                   static_cast<int64_t>(tstats.recorded));
-        json.close();
-    }
-
-    // ------------------------------------------------------------------
-    // 9. Windowed decode: per-token cost at context 4096 vs 16384
+    // 5. Windowed decode: per-token cost at context 4096 vs 16384
     //    under a 64-sink / 512-recency window — flat, because the scan
     //    order and its scratch clearing are O(window).
     // ------------------------------------------------------------------
-    std::printf("\n[9/9] windowed decode (64 sink + 512 recency)\n");
+    std::printf("\n[5/5] windowed decode (64 sink + 512 recency)\n");
     {
         RetentionPolicy rp;
         rp.sink_tokens = 64;
@@ -883,8 +500,8 @@ main(int argc, char **argv)
         // Enough timed steps that per-step jitter averages out — the
         // flatness claim compares two ~50 us/token measurements.
         const int win_steps = quick ? 32 : 96;
-        Table t9;
-        t9.header({"ctx", "window", "decode us/tok"});
+        Table t5;
+        t5.header({"ctx", "window", "decode us/tok"});
         json.openArray("windowed_decode");
         // Interleave the two contexts across reps (4k, 16k, 4k, ...)
         // so a noisy window on the host lands on both: the flatness
@@ -903,7 +520,7 @@ main(int argc, char **argv)
         const double us_small = best_us[0];
         const double us_large = best_us[1];
         for (int i = 0; i < 2; i++) {
-            t9.row({std::to_string(ctxs[i]),
+            t5.row({std::to_string(ctxs[i]),
                     std::to_string(rp.sink_tokens + rp.recency_tokens),
                     Table::num(best_us[i], 1)});
             json.openObject();
@@ -916,7 +533,7 @@ main(int argc, char **argv)
             json.close();
         }
         json.close(true);
-        t9.print();
+        t5.print();
         const double flatness =
             us_large / std::max(us_small, 1e-9);
         std::printf("windowed decode us/tok at 16384 vs 4096 ctx: "

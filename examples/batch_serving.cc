@@ -23,10 +23,9 @@
  * Telemetry artifacts (docs/OBSERVABILITY.md): --trace writes a
  * Chrome trace_event JSON of the multi-worker run (open in
  * chrome://tracing or https://ui.perfetto.dev) and --stats writes the
- * run's metric-registry delta — pipeline-bubble ratio, KV bytes per
- * token, prefix-cache hit counters. --trace alone also writes the
- * stats next to it (<trace>.stats.json), so one flag produces both
- * artifacts.
+ * run's metric-registry delta — KV bytes per token, prefix-cache hit
+ * counters. --trace alone also writes the stats next to it
+ * (<trace>.stats.json), so one flag produces both artifacts.
  *
  * Exit status is nonzero if the two runs' token checksums diverge or
  * any request fails to finish, so CI can smoke-test the scheduler.

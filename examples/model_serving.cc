@@ -14,8 +14,8 @@
  *
  *  1. every decoded output row is bit-identical to the
  *     per-head-private-cache oracle — each query head decoding
- *     against its own copy of its group's KV stream through the
- *     single-query engine (the PR 5 acceptance contract);
+ *     against its own copy of its group's KV stream as a group of
+ *     one;
  *  2. the grouped decode checksum is identical with and without the
  *     KV-head ThreadPool fan-out.
  *
@@ -152,9 +152,8 @@ main(int argc, char **argv)
     const uint64_t pooled_sum =
         serveLayer(lw, lc, chunk, &pool, nullptr, nullptr);
 
-    // Per-head-private-cache oracle: every query head decodes through
-    // the single-query engine against its own copy of the KV stream.
-    std::vector<float> out(static_cast<std::size_t>(spec.head_dim));
+    // Per-head-private-cache oracle: every query head decodes as a
+    // group of one against its own copy of the KV stream.
     MatrixF oracle_out(spec.heads, spec.head_dim);
     uint64_t oracle_sum = 0;
     std::size_t oracle_bytes = 0;
@@ -179,11 +178,10 @@ main(int argc, char **argv)
                 continue;
             for (int h = 0; h < spec.heads; h++) {
                 const QuantizedHead &g = lw.groupOf(h);
-                engines[static_cast<std::size_t>(h)].step(
-                    caches[static_cast<std::size_t>(h)],
-                    g.q.values.row(lw.queryRow(h, pos)),
-                    g.logit_scale, out);
-                std::ranges::copy(out, oracle_out.row(h).begin());
+                engines[static_cast<std::size_t>(h)].stepGroup(
+                    caches[static_cast<std::size_t>(h)], g.q.values,
+                    lw.queryRow(h, pos), 1, g.logit_scale, oracle_out,
+                    h);
             }
             oracle_sum = mix(oracle_sum, oracle_out);
         }

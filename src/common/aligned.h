@@ -3,10 +3,11 @@
  * Minimal over-aligned allocator for SIMD-friendly containers.
  *
  * std::vector<T> only guarantees alignof(std::max_align_t) (16 bytes
- * on x86-64); the AVX2 QK backend wants every bit-plane row to start
- * on a 32-byte boundary so plane loads are aligned vector loads. The
- * allocator delegates to the C++17 aligned operator new/delete, so it
- * composes with sanitizers and custom global allocators.
+ * on x86-64); the AVX2 QK kernel loads the query's byte mirror with
+ * aligned 32-byte vector loads, and bit-plane rows keep the same
+ * 32-byte boundary. The allocator delegates to the C++17 aligned
+ * operator new/delete, so it composes with sanitizers and custom
+ * global allocators.
  */
 
 #ifndef PADE_COMMON_ALIGNED_H

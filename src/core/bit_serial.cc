@@ -75,15 +75,6 @@ planeDelta(const QueryPlanes &q, const BitPlaneSet &keys, int key,
 }
 
 int64_t
-planeDeltaSimd(const QueryPlanes &q, const BitPlaneSet &keys, int key,
-               int plane)
-{
-    assert(q.numCols() == keys.numCols());
-    return static_cast<int64_t>(keys.planeWeight(plane)) *
-        q.maskedSumSimd(keys.plane(key, plane));
-}
-
-int64_t
 planeDeltaScalar(std::span<const int8_t> q, const BitPlaneSet &keys,
                  int key, int plane)
 {

@@ -66,17 +66,6 @@ int64_t planeDelta(const QueryPlanes &q, const BitPlaneSet &keys,
                    int key, int plane);
 
 /**
- * planeDelta() through the AVX2 backend: a value-domain masked byte
- * sum for short rows and a vpshufb-nibble / Harley-Seal plane
- * reduction for wide ones — see the strategy comment in
- * src/core/simd/qk_simd.h. Bit-identical to both other kernels;
- * silently falls back to planeDelta() when AVX2 is compiled out or
- * the CPU lacks it.
- */
-int64_t planeDeltaSimd(const QueryPlanes &q, const BitPlaneSet &keys,
-                       int key, int plane);
-
-/**
  * Scalar reference implementation of planeDelta(): walks every set key
  * bit with ctz and accumulates q elements one by one (1-mode). Kept as
  * the exactness oracle and selectable via QkKernel::kScalar.

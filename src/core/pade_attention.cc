@@ -1,8 +1,8 @@
 #include "core/pade_attention.h"
 
 #include <algorithm>
-#include <cassert>
 
+#include "common/check.h"
 #include "core/guard_filter.h"
 #include "runtime/thread_pool.h"
 
@@ -21,7 +21,7 @@ istaScanOrderInto(int seq_len, int tile, bool head_tail,
                   int sink_tokens, int window_start,
                   std::vector<int> &out)
 {
-    assert(tile > 0);
+    PADE_CHECK_GT(tile, 0);
     const int sink = std::clamp(sink_tokens, 0, seq_len);
     const int win = std::clamp(window_start, 0, seq_len);
     const int num_tiles = (seq_len + tile - 1) / tile;
@@ -73,6 +73,11 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
     const int s = head.k.values.rows();
     const int h = head.v.values.cols();
     const int bits = head.k_planes.numPlanes();
+    // planeWork's GSAT geometry, checked once per call: a zero
+    // subgroup or mux count would divide by zero or loop forever.
+    PADE_CHECK_GE(cfg.subgroup, 1);
+    PADE_CHECK_LE(cfg.subgroup, 64);
+    PADE_CHECK_GE(cfg.muxes, 1);
     // Final kernel decision: config request + PADE_QK_KERNEL override
     // + capability clamp (kSimd degrades to kPopcount off-AVX2).
     const QkKernel kernel = resolveQkKernel(cfg.qk_kernel);

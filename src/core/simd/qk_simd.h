@@ -12,23 +12,15 @@
  *    subtracted. Wider rows loop over words. The masked load never
  *    reads a query byte past cols (those mask bits are zero), and the
  *    reduction is 64-bit, so there is no row-length limit.
- *  - scoreKeyAvx2 (qk_avx2.cc, -mavx2), for CPUs without AVX-512BW.
- *    Per key plane:
- *     - words <= 4 (head_dim <= 256), and any row up to 4064 elements
- *       when the query carries >= 6 planes: the value-domain kernel.
- *       32 mask bits at a time are broadcast (vpbroadcastd), fanned
- *       out to a byte select (vpshufb + bit-test vpcmpeqb), ANDed
- *       with the query's byte mirror and accumulated pairwise into
- *       16-bit lanes with vpmaddubsw: one pass over head_dim bytes
- *       per key plane, independent of the query's bit-width;
- *     - other rows (wide with a narrow query, or past the value
- *       kernel's 16-bit saturation ceiling): the plane-domain kernel.
- *       Per query plane, full 32-byte chunks accumulate vpshufb
- *       nibble-LUT popcounts in a byte accumulator (flushed through
- *       vpsadbw before any byte can saturate); rows of >= 16 chunks
- *       first collapse 16 chunks at a time through a Harley-Seal
- *       carry-save adder tree. It touches bits/8 bytes per element
- *       against the value kernel's 1, so narrow queries cost less.
+ *  - scoreKeyAvx2 (qk_avx2.cc, -mavx2), for CPUs without AVX-512BW,
+ *    is value-domain too. Per key plane, 32 mask bits at a time are
+ *    broadcast (vpbroadcastd), fanned out to a byte select (vpshufb +
+ *    bit-test vpcmpeqb), ANDed with the query's byte mirror and
+ *    accumulated pairwise into 16-bit lanes with vpmaddubsw: one pass
+ *    over head_dim bytes per key plane, independent of the query's
+ *    bit-width. The lanes are widened to 32 bits every 127 chunks
+ *    (4064 elements), before they can wrap, so any row length is
+ *    exact.
  *
  * A per-key kernel runs the whole plane loop of one (key, query) pair
  * with the BUI-GF guard inline (guardedKeyScore, core/guard_filter.h)
@@ -119,15 +111,6 @@ bool qkAvx512Compiled();
  * call. Only meaningful when qkSimdAvailable().
  */
 KeyKernel keyKernel();
-
-/**
- * Weighted masked popcount sum over the packed query planes, i.e. the
- * sum of the query values selected by one key plane @p mask of
- * exactly @p words words (QueryPlanes::maskedSumSimd). Same
- * availability contract as scoreKeyAvx2.
- */
-int64_t maskedSumAvx2(const QPlaneView &q, const uint64_t *mask,
-                      int words);
 
 /**
  * The body both per-key kernels share: plane weights, the guarded or

@@ -151,9 +151,7 @@ MetricsSnapshot::toJson() const
 {
     std::string out;
     out.reserve(1024);
-    out += "{\"schema\":\"pade-metrics-v1\",\"enabled\":";
-    out += kTelemetryEnabled ? "true" : "false";
-    out += ",\"counters\":{";
+    out += "{\"schema\":\"pade-metrics-v1\",\"counters\":{";
     bool first = true;
     for (const auto &[name, v] : counters)
     {

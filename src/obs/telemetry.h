@@ -18,12 +18,10 @@
  *    destroyed until process exit, so the references handed out by
  *    Registry::counter()/gauge()/histogram() stay valid forever and
  *    call sites cache them in function-local statics.
- *  - Compiled to no-ops when the CMake option PADE_TELEMETRY is OFF:
- *    only the *recording* inlines vanish (add/set/record become empty
- *    and the optimizer deletes the call); registry, snapshot, and
- *    JSON export always compile and report zeros, so tooling that
- *    consumes the artifacts works against either build. Query
- *    `kTelemetryEnabled` to branch on the mode at compile time.
+ *  - Always on: recording costs a few relaxed atomics per decode
+ *    step, wave or token append, never per key, which measures below
+ *    the run-to-run noise of the serving benchmark
+ *    (docs/OBSERVABILITY.md).
  *
  * Naming convention: "subsystem.metric" in snake_case, with the unit
  * suffixed when the value is dimensional ("pool.idle_us",
@@ -47,14 +45,11 @@
 #include "common/thread_annotations.h"
 #include "runtime/mutex.h"
 
-#ifndef PADE_TELEMETRY_ENABLED
-#define PADE_TELEMETRY_ENABLED 1
-#endif
-
 namespace pade::obs {
 
-/** True when the library was built with telemetry recording. */
-inline constexpr bool kTelemetryEnabled = PADE_TELEMETRY_ENABLED != 0;
+/** Telemetry recording is always compiled in; kept for tools that
+ *  print the build's telemetry mode. */
+inline constexpr bool kTelemetryEnabled = true;
 
 namespace detail {
 
@@ -91,12 +86,8 @@ class Counter
     void
     add(uint64_t delta = 1)
     {
-#if PADE_TELEMETRY_ENABLED
         cells_[detail::shardIndex()].v.fetch_add(
             delta, std::memory_order_relaxed);
-#else
-        (void)delta;
-#endif
     }
 
     /** Sum over shards; exact once writers have quiesced. */
@@ -121,11 +112,7 @@ class Gauge
     void
     set(double v)
     {
-#if PADE_TELEMETRY_ENABLED
         v_.store(v, std::memory_order_relaxed);
-#else
-        (void)v;
-#endif
     }
 
     double
@@ -160,7 +147,6 @@ class Histogram
     void
     record(double v)
     {
-#if PADE_TELEMETRY_ENABLED
         Shard &s = shards_[detail::shardIndex() % kHistShards];
         s.buckets[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
         s.count.fetch_add(1, std::memory_order_relaxed);
@@ -170,9 +156,6 @@ class Histogram
                             m, v, std::memory_order_relaxed))
         {
         }
-#else
-        (void)v;
-#endif
     }
 
     /** Bucket index of @p v (0 for negatives and NaN). */
@@ -248,7 +231,7 @@ struct MetricsSnapshot
 
     /**
      * Stable JSON object:
-     *   {"schema":"pade-metrics-v1","enabled":...,
+     *   {"schema":"pade-metrics-v1",
      *    "counters":{...},"gauges":{...},
      *    "histograms":{name:{count,sum,mean,max,p50,p95,p99,p999}}}
      * Keys appear in name order; parses under python3 -m json.tool.

@@ -23,9 +23,6 @@
  *
  * Names and arg keys must be string literals (or otherwise outlive
  * the trace): events store the pointer, not a copy.
- *
- * Compiled out when the CMake option PADE_TELEMETRY is OFF: recording
- * inlines to nothing and the exporter produces a valid empty trace.
  */
 
 #ifndef PADE_OBS_TRACE_H
@@ -64,11 +61,7 @@ void recordInstant(const char *name, const TraceArg *args, int nargs);
 inline bool
 traceEnabled()
 {
-#if PADE_TELEMETRY_ENABLED
     return detail::g_trace_enabled.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
 }
 
 /** Turns span recording on or off process-wide. */

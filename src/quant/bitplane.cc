@@ -14,10 +14,10 @@ namespace pade {
 namespace {
 
 /**
- * Hot-path (per-accessor) check of the storage contract the SIMD
- * backend relies on; debug builds only. The Release-armed version of
- * this invariant runs once per mutation (checkStorageAligned), where
- * the base pointer is (re)established.
+ * Hot-path (per-accessor) check of the storage contract; debug
+ * builds only. The Release-armed version of this invariant runs once
+ * per mutation (checkStorageAligned), where the base pointer is
+ * (re)established.
  */
 inline void
 assertPlaneAligned(const uint64_t *p)
@@ -27,11 +27,10 @@ assertPlaneAligned(const uint64_t *p)
 }
 
 /**
- * Release-armed storage-contract check: the backing store the SIMD
- * kernels will load 32 bytes at a time must sit on a 32-byte
- * boundary. Misalignment here means AlignedAllocator (or a future
- * storage refactor) broke the contract — fail at the mutation that
- * established the pointer, in every build type.
+ * Release-armed storage-contract check: the backing store must sit
+ * on a 32-byte boundary. Misalignment here means AlignedAllocator (or
+ * a future storage refactor) broke the contract — fail at the
+ * mutation that established the pointer, in every build type.
  */
 inline void
 checkStorageAligned(const uint64_t *base)
@@ -213,7 +212,7 @@ QueryPlanes::assign(std::span<const int8_t> q, int bits)
 void
 QueryPlanes::buildValues() const
 {
-    // Byte mirror for the AVX2 value-domain kernel (see the header):
+    // Byte mirror for the value-domain SIMD kernels (see the header):
     // the sign-extended reconstruction of the packed planes, NOT the
     // raw assign() input, so plane-domain and value-domain sums agree
     // bit for bit even if a caller-forced narrow width truncated
@@ -265,15 +264,6 @@ QueryPlanes::simdView() const
     if (!values_valid_)
         buildValues();
     return {storage_.data(), values_.data(), stride_, bits_, cols_};
-}
-
-int64_t
-QueryPlanes::maskedSumSimd(std::span<const uint64_t> mask) const
-{
-    PADE_DCHECK(static_cast<int>(mask.size()) == words_);
-    if (!qkSimdAvailable())
-        return maskedSum(mask);
-    return simd::maskedSumAvx2(simdView(), mask.data(), words_);
 }
 
 int64_t

@@ -15,15 +15,13 @@
  * row holds the same bit plane across the hidden dimension (paper
  * Fig. 22).
  *
- * Storage contract shared by BitPlaneSet and QueryPlanes (what the
- * AVX2 backend in src/core/simd/ relies on): every plane row starts
- * on a 32-byte boundary (rows are kPlaneAlignWords words apart and
- * the backing store is 32-byte aligned), and the padding words
- * between the logical row length (wordsPerPlane()) and the aligned
- * stride are zero. Bits past the column count within the last logical
- * word are zero as well. plane() spans still cover exactly
- * wordsPerPlane() words, so word-walking consumers are unaffected by
- * the padding.
+ * Storage contract shared by BitPlaneSet and QueryPlanes: every plane
+ * row starts on a 32-byte boundary (rows are kPlaneAlignWords words
+ * apart and the backing store is 32-byte aligned), and the padding
+ * words between the logical row length (wordsPerPlane()) and the
+ * aligned stride are zero. Bits past the column count within the last
+ * logical word are zero as well. plane() spans still cover exactly
+ * wordsPerPlane() words, and no kernel reads the padding.
  */
 
 #ifndef PADE_QUANT_BITPLANE_H
@@ -200,8 +198,7 @@ class BitPlaneSet
  * queries cost 4 plane ANDs instead of 8.
  *
  * Storage follows the same alignment contract as BitPlaneSet (32-byte
- * aligned plane rows, zero padding to the aligned stride) — the AVX2
- * maskedSumSimd() path depends on it for aligned full-width loads.
+ * aligned plane rows, zero padding to the aligned stride).
  */
 class QueryPlanes
 {
@@ -221,7 +218,7 @@ class QueryPlanes
     int planeStride() const { return stride_; }
 
     /**
-     * Raw pointer view handed to the AVX2 kernels (packed planes plus
+     * Raw pointer view handed to the SIMD kernels (packed planes plus
      * the byte value mirror, built lazily on the first call after
      * assign() so non-SIMD executions never pay for it). Only valid
      * while this object is alive and unmodified. Not thread-safe —
@@ -277,17 +274,6 @@ class QueryPlanes
         return sum;
     }
 
-    /**
-     * maskedSum() through the AVX2 backend. Exact
-     * same value, bit for bit — the SIMD kernel counts the same set
-     * bits with the same power-of-two weights, only wider. Falls back
-     * to maskedSum() when the backend is compiled out or the CPU
-     * lacks AVX2, so it is always safe to call. Like maskedSum(),
-     * only the mask's own words are dereferenced (the tail chunk is
-     * read with a masked load), so any caller span is legal.
-     */
-    int64_t maskedSumSimd(std::span<const uint64_t> mask) const;
-
   private:
     template <int W>
     int64_t
@@ -326,10 +312,10 @@ class QueryPlanes
      * plane reconstruction sum_t planeWeight(t) * bit(t, col) — kept
      * 32-byte aligned and zero-padded to a 32-byte boundary. Built
      * lazily by simdView() (mutable: a deferred cache of const
-     * state): the AVX2 short-row kernel computes maskedSum directly
-     * in the value domain (select bytes by mask,
-     * vpmaddubsw-accumulate), touching one byte per element instead
-     * of one plane bit per (plane, element). Never built when no
+     * state): both per-key SIMD kernels compute maskedSum directly
+     * in the value domain (select bytes by mask and sum them),
+     * touching one byte per element instead of one plane bit per
+     * (plane, element). Never built when no
      * SIMD kernel runs.
      */
     mutable std::vector<int8_t, AlignedAllocator<int8_t, 32>> values_;

@@ -54,9 +54,7 @@ appendJsonNumber(std::string &out, double v)
 
 /**
  * The ServingReport::telemetry blob: the run's registry delta plus
- * the derived ratios ROADMAP items 2 and 4 asked for, one JSON
- * document. Well-formed in every build; all-zero when telemetry is
- * compiled out.
+ * derived KV and prefix-cache figures, one JSON document.
  */
 std::string
 telemetryReportJson(const obs::MetricsSnapshot &delta,
@@ -64,11 +62,8 @@ telemetryReportJson(const obs::MetricsSnapshot &delta,
 {
     std::string out;
     out.reserve(2048);
-    out += "{\"schema\":\"pade-serving-telemetry-v1\",\"enabled\":";
-    out += obs::kTelemetryEnabled ? "true" : "false";
-    out += ",\"derived\":{\"pipeline_bubble_ratio\":";
-    appendJsonNumber(out, report.pipeline_bubble_ratio);
-    out += ",\"kv_bytes_per_token\":";
+    out += "{\"schema\":\"pade-serving-telemetry-v1\",\"derived\":{"
+           "\"kv_bytes_per_token\":";
     appendJsonNumber(out, report.kv_bytes_per_token);
     char buf[64];
     std::snprintf(buf, sizeof buf,
@@ -525,23 +520,21 @@ ContinuousBatcher::run(std::span<const ServingRequest> trace) const
             if (s.first_token_ms >= 0.0 && s.decoded >= 2)
                 tpot.push_back((st.finish_ms - st.first_token_ms) /
                                static_cast<double>(s.decoded - 1));
-            if constexpr (obs::kTelemetryEnabled) {
-                // Per-session latency series as histograms (µs):
-                // snapshot deltas carry the distribution shape even
-                // where the report object itself is unavailable.
+            // Per-session latency series as histograms (µs): snapshot
+            // deltas carry the distribution shape even where the
+            // report object itself is unavailable.
+            obs::Registry::instance()
+                .histogram("serving.latency_us")
+                .record(latency.back() * 1000.0);
+            if (s.first_token_ms >= 0.0)
                 obs::Registry::instance()
-                    .histogram("serving.latency_us")
-                    .record(latency.back() * 1000.0);
-                if (s.first_token_ms >= 0.0)
-                    obs::Registry::instance()
-                        .histogram("serving.ttft_us")
-                        .record(ttft.back() * 1000.0);
-                if (!tpot.empty() && s.first_token_ms >= 0.0 &&
-                    s.decoded >= 2)
-                    obs::Registry::instance()
-                        .histogram("serving.tpot_us")
-                        .record(tpot.back() * 1000.0);
-            }
+                    .histogram("serving.ttft_us")
+                    .record(ttft.back() * 1000.0);
+            if (!tpot.empty() && s.first_token_ms >= 0.0 &&
+                s.decoded >= 2)
+                obs::Registry::instance()
+                    .histogram("serving.tpot_us")
+                    .record(tpot.back() * 1000.0);
             obs::traceInstant(
                 "batcher.finish",
                 {{"request", static_cast<int64_t>(s.index)},
@@ -565,19 +558,11 @@ ContinuousBatcher::run(std::span<const ServingRequest> trace) const
             (report.wall_ms / 1000.0)
         : 0.0;
 
-    // Close the telemetry bracket: derive the run-level ratios from
-    // the metric delta, serialize the blob, flush the trace. Values
-    // stay zero when PADE_TELEMETRY=OFF (the counters never move).
+    // Close the telemetry bracket: derive the run-level ratio from
+    // the metric delta, serialize the blob, flush the trace.
     const obs::MetricsSnapshot metrics_delta =
         obs::MetricsSnapshot::delta(
             metrics_before, obs::Registry::instance().snapshot());
-    const double busy_us = static_cast<double>(
-        metrics_delta.counter("model.unit_busy_us"));
-    const double capacity_us = static_cast<double>(
-        metrics_delta.counter("model.round_capacity_us"));
-    if (capacity_us > 0.0)
-        report.pipeline_bubble_ratio =
-            std::clamp(1.0 - busy_us / capacity_us, 0.0, 1.0);
     // Tokens the run appended *privately* (prefix-adopted pages are
     // aliased, not appended), at model granularity: one position =
     // layers x kv_heads cache appends, all counted in bytes_appended.

@@ -178,25 +178,14 @@ struct ServingReport
     uint64_t checksum = 0;
     /** XOR of session prefill checksums: thread-count invariant. */
     uint64_t prefill_checksum = 0;
-    /**
-     * Fraction of the run's wave capacity (wave width x wave wall,
-     * summed; width = min(pool threads, hardware threads, units))
-     * that no unit computed in:
-     * 1 - model.unit_busy_us / model.round_capacity_us over the run's
-     * metric delta. 0 when the library was built without telemetry
-     * (PADE_TELEMETRY=OFF) — the counters never move.
-     */
-    double pipeline_bubble_ratio = 0.0;
     /** KV bytes committed per token the run appended privately
-     *  (page-granular; all layers and KV heads of the model). 0
-     *  without telemetry. */
+     *  (page-granular; all layers and KV heads of the model). */
     double kv_bytes_per_token = 0.0;
     /**
      * The run's metric delta as a JSON document
-     * ({"schema":"pade-serving-telemetry-v1","enabled":...,
-     * "derived":{...},"metrics":{...}}); always well-formed, all
-     * zeros when built with PADE_TELEMETRY=OFF. Exported verbatim by
-     * examples/batch_serving --stats and bench/perf_suite.
+     * ({"schema":"pade-serving-telemetry-v1","derived":{...},
+     * "metrics":{...}}). Exported verbatim by
+     * examples/batch_serving --stats.
      */
     std::string telemetry;
 };

@@ -50,18 +50,6 @@ DecodeEngine::DecodeEngine(PadeConfig cfg, RetentionPolicy retention)
 }
 
 DecodeStep
-DecodeEngine::step(const KvCache &cache, std::span<const int8_t> q,
-                   float logit_scale, std::span<float> out)
-{
-    qs_.assign(1, q);
-    outs_.assign(1, out);
-    // A decode query sits at the stream tail: it sees every cached
-    // token, and the scan order spans exactly the cache.
-    return runGroup(cache, cache.size() - 1, cache.size(),
-                    logit_scale);
-}
-
-DecodeStep
 DecodeEngine::stepGroup(const KvCache &cache, const MatrixI8 &q,
                         int q_row0, int group, float logit_scale,
                         MatrixF &out, int out_row0)
@@ -73,6 +61,8 @@ DecodeEngine::stepGroup(const KvCache &cache, const MatrixI8 &q,
         qs_[static_cast<std::size_t>(g)] = q.row(q_row0 + g);
         outs_[static_cast<std::size_t>(g)] = out.row(out_row0 + g);
     }
+    // A decode query sits at the stream tail: it sees every cached
+    // token, and the scan order spans exactly the cache.
     return runGroup(cache, cache.size() - 1, cache.size(),
                     logit_scale);
 }
@@ -120,14 +110,12 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     // Same per-call dispatch decision as padeAttention: config request
     // + PADE_QK_KERNEL override + capability clamp.
     const QkKernel kernel = resolveQkKernel(cfg_.qk_kernel);
-    if constexpr (obs::kTelemetryEnabled) {
-        DecodeMetrics &m = DecodeMetrics::get();
-        m.steps.add(1);
-        (kernel == QkKernel::kSimd       ? m.dispatch_simd
-             : kernel == QkKernel::kScalar ? m.dispatch_scalar
-                                           : m.dispatch_popcount)
-            .add(1);
-    }
+    DecodeMetrics &m = DecodeMetrics::get();
+    m.steps.add(1);
+    (kernel == QkKernel::kSimd       ? m.dispatch_simd
+         : kernel == QkKernel::kScalar ? m.dispatch_scalar
+                                       : m.dispatch_popcount)
+        .add(1);
 
     if (static_cast<int>(heads_.size()) < g)
         heads_.resize(static_cast<std::size_t>(g));
@@ -242,18 +230,15 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     }
     stats_ += st;
     res.planes = st.planes_processed;
-    if constexpr (obs::kTelemetryEnabled) {
-        DecodeMetrics &m = DecodeMetrics::get();
-        // Per-query-head totals, matching PruneStats semantics: the
-        // prune ratio is 1 - planes_consumed / planes_total and the
-        // retention ratio keys_retained / keys_scanned, both
-        // recoverable from any snapshot delta.
-        m.keys_scanned.add(static_cast<uint64_t>(res.keys) *
-                           static_cast<uint64_t>(g));
-        m.keys_retained.add(static_cast<uint64_t>(res.retained));
-        m.planes_consumed.add(res.planes);
-        m.planes_total.add(st.planes_total);
-    }
+    // Per-query-head totals, matching PruneStats semantics: the
+    // prune ratio is 1 - planes_consumed / planes_total and the
+    // retention ratio keys_retained / keys_scanned, both
+    // recoverable from any snapshot delta.
+    m.keys_scanned.add(static_cast<uint64_t>(res.keys) *
+                       static_cast<uint64_t>(g));
+    m.keys_retained.add(static_cast<uint64_t>(res.retained));
+    m.planes_consumed.add(res.planes);
+    m.planes_total.add(st.planes_total);
 
     // ISTA value stage per head, tiled by Bc in scan order — the
     // identical float sequence to padeAttention's

@@ -10,13 +10,12 @@
  * termination, ISTA stage-fused softmax·V — against the tokens of a
  * `KvCache`.
  *
- * Three entry points share one key loop, which runs the guarded-scan
+ * Two entry points share one key loop, which runs the guarded-scan
  * core (core/guarded_scan.h) that batch padeAttention runs too:
  *
- *  - step(): one query row attends over every cached token (the PR 4
- *    decode contract, unchanged);
- *  - stepGroup(): a block of heads/kv_heads grouped query rows
- *    attends over the ONE shared cache of their KV head. The scan is
+ *  - stepGroup(): a block of heads/kv_heads grouped query rows (one
+ *    row for plain multi-head decode) attends over every token of the
+ *    ONE shared cache of their KV head. The scan is
  *    key-outer / query-head-inner, so the per-key page lookup, packed
  *    plane row, and cached PlaneWork entries are fetched once and
  *    reused across the whole group — the per-token plane table is a
@@ -30,13 +29,14 @@
  * Exactness contracts (enforced by tests/test_serving.cc and
  * tests/test_layer_engine.cc for kScalar / kPopcount / kSimd):
  *
- *  - step() over a cache holding rows 0..S-1 produces the same output
- *    row, keep mask, planes-consumed trace, retained-id list, and
- *    PruneStats deltas, bit for bit, as a from-scratch pack + batch
- *    `padeAttention` call with a single query;
- *  - stepGroup() is bit-identical, per query head, to running step()
- *    for that head against its own private copy of the cache — the
- *    grouped loop shares lookups, never arithmetic state;
+ *  - stepGroup() of one row over a cache holding rows 0..S-1 produces
+ *    the same output row, keep mask, planes-consumed trace,
+ *    retained-id list, and PruneStats deltas, bit for bit, as a
+ *    from-scratch pack + batch `padeAttention` call with that single
+ *    query;
+ *  - a group of g rows is bit-identical, per query head, to a group
+ *    of one for that head against its own private copy of the cache
+ *    — the grouped loop shares lookups, never arithmetic state;
  *  - prefillGroup() across any chunking is bit-identical, per query
  *    head, to one whole-prompt `padeAttention` call with
  *    `cfg.causal = true`.
@@ -155,22 +155,15 @@ class DecodeEngine
     const RetentionPolicy &retention() const { return retention_; }
 
     /**
-     * Run one guarded decode step: the query @p q (int8, head_dim
-     * values) attends over every cached token; the attention output
-     * lands in @p out (head_dim floats).
+     * One guarded decode step: rows q_row0 .. q_row0+group-1 of @p q
+     * (int8, head_dim values each) are the group's query heads, all
+     * sharing this engine's KV head; each attends over every cached
+     * token, writing output rows out_row0 .. out_row0+group-1 of
+     * @p out. Per head, bit-identical to a group of one against a
+     * private copy of the cache.
      *
      * @param logit_scale integer-score -> logit factor
      *        (sQ * sK / sqrt(H), QuantizedHead::logit_scale)
-     */
-    DecodeStep step(const KvCache &cache, std::span<const int8_t> q,
-                    float logit_scale, std::span<float> out);
-
-    /**
-     * Grouped-query decode: rows q_row0 .. q_row0+group-1 of @p q are
-     * the group's query heads (all sharing this engine's KV head);
-     * each attends over every cached token, writing output rows
-     * out_row0 .. out_row0+group-1 of @p out. Per head, bit-identical
-     * to step() against a private copy of the cache.
      */
     DecodeStep stepGroup(const KvCache &cache, const MatrixI8 &q,
                          int q_row0, int group, float logit_scale,
@@ -215,7 +208,7 @@ class DecodeEngine
     /** Pruning statistics accumulated across all steps (group sums). */
     const PruneStats &stats() const { return stats_; }
 
-    /** Query heads of the last step (1 for step()). */
+    /** Query heads of the last step. */
     int lastGroup() const { return group_; }
 
     /** Retained token ids of head @p g last step, in scan order. */

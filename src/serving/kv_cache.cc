@@ -65,6 +65,10 @@ KvCache::KvCache(const KvCacheConfig &cfg) : cfg_(cfg)
     PADE_CHECK_GT(cfg_.page_tokens, 0);
     PADE_CHECK_GE(cfg_.bits, 2);
     PADE_CHECK_LE(cfg_.bits, 8);
+    // appendToken's planeWork geometry (see padeAttention).
+    PADE_CHECK_GE(cfg_.subgroup, 1);
+    PADE_CHECK_LE(cfg_.subgroup, 64);
+    PADE_CHECK_GE(cfg_.muxes, 1);
 }
 
 void
@@ -80,13 +84,10 @@ KvCache::appendToken(std::span<const int8_t> k_row,
     if (!tail_ || tail_->full()) {
         tail_ = std::make_shared<KvPage>(cfg_);
         pages_.push_back(tail_);
-        if constexpr (obs::kTelemetryEnabled) {
-            KvMetrics::get().pages_opened.add(1);
-            KvMetrics::get().bytes_appended.add(kvPageBytes(*tail_));
-        }
+        KvMetrics::get().pages_opened.add(1);
+        KvMetrics::get().bytes_appended.add(kvPageBytes(*tail_));
     }
-    if constexpr (obs::kTelemetryEnabled)
-        KvMetrics::get().tokens_appended.add(1);
+    KvMetrics::get().tokens_appended.add(1);
     KvPage &page = *tail_;
 
     const int row = page.used();
@@ -125,10 +126,8 @@ KvCache::adoptSharedPage(std::shared_ptr<const KvPage> page)
     PADE_CHECK_EQ(page->cfg.muxes, cfg_.muxes);
     PADE_CHECK(page->cfg.v_scale == cfg_.v_scale);
 
-    if constexpr (obs::kTelemetryEnabled) {
-        KvMetrics::get().pages_adopted.add(1);
-        KvMetrics::get().bytes_shared.add(kvPageBytes(*page));
-    }
+    KvMetrics::get().pages_adopted.add(1);
+    KvMetrics::get().bytes_shared.add(kvPageBytes(*page));
     pages_.push_back(std::move(page));
     tail_.reset(); // the back page is shared: never writable
     tokens_ += cfg_.page_tokens;
@@ -159,12 +158,10 @@ KvCache::dropPagesBefore(int token)
     while (first_live_page_ < target && !pages_.empty()) {
         if (pages_.front().get() == tail_.get())
             tail_.reset(); // evicting the append frontier itself
-        if constexpr (obs::kTelemetryEnabled) {
-            if (pages_.front()) {
-                KvMetrics::get().pages_reclaimed.add(1);
-                KvMetrics::get().bytes_reclaimed.add(
-                    kvPageBytes(*pages_.front()));
-            }
+        if (pages_.front()) {
+            KvMetrics::get().pages_reclaimed.add(1);
+            KvMetrics::get().bytes_reclaimed.add(
+                kvPageBytes(*pages_.front()));
         }
         pages_.pop_front();
         first_live_page_++;
@@ -190,12 +187,9 @@ KvCache::dropPagesIn(int first_token, int last_token)
     for (int p = lo; p < hi; p++) {
         auto &slot =
             pages_[static_cast<std::size_t>(p - first_live_page_)];
-        if constexpr (obs::kTelemetryEnabled) {
-            if (slot) {
-                KvMetrics::get().pages_reclaimed.add(1);
-                KvMetrics::get().bytes_reclaimed.add(
-                    kvPageBytes(*slot));
-            }
+        if (slot) {
+            KvMetrics::get().pages_reclaimed.add(1);
+            KvMetrics::get().bytes_reclaimed.add(kvPageBytes(*slot));
         }
         slot.reset();
     }

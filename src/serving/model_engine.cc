@@ -13,20 +13,14 @@ namespace pade {
 
 namespace {
 
-// Pipeline-utilization telemetry, all of it recorded by
-// WaveRunner::wave() and runCollectedUnit(). Each wave records the
-// lane time its width could have used (min(lanes, units) x wave
-// wall) and each pipelined unit the time it actually computed, so
-// the bubble ratio of any snapshot delta is
-//     1 - model.unit_busy_us / model.round_capacity_us
-// — 0 when every lane of every wave was full, approaching 1 as the
-// waves starve (fill/drain phases, cores > units).
+// Pipeline telemetry, recorded by WaveRunner::wave() (waves and
+// their units) and runCollectedUnit() (the time each pipelined unit
+// computed).
 struct ModelMetrics
 {
     obs::Counter &rounds;
     obs::Counter &units;
     obs::Counter &unit_busy_us;
-    obs::Counter &round_capacity_us;
 
     static ModelMetrics &
     get()
@@ -35,8 +29,6 @@ struct ModelMetrics
             obs::Registry::instance().counter("model.rounds"),
             obs::Registry::instance().counter("model.units"),
             obs::Registry::instance().counter("model.unit_busy_us"),
-            obs::Registry::instance().counter(
-                "model.round_capacity_us"),
         };
         return m;
     }
@@ -184,16 +176,12 @@ ModelEngine::runCollectedUnit(int u, ThreadPool *pool)
             runUnit(f, l, pool);
         return;
     }
-    if constexpr (obs::kTelemetryEnabled) {
-        const obs::ScopedSpan span(
-            "model.unit", {{"layer", f.age}, {"pos", f.job.pos}});
-        const auto t0 = std::chrono::steady_clock::now();
-        runUnit(f, f.age, pool);
-        ModelMetrics::get().unit_busy_us.add(
-            static_cast<uint64_t>(microsSince(t0)));
-    } else {
-        runUnit(f, f.age, pool);
-    }
+    const obs::ScopedSpan span("model.unit",
+                               {{"layer", f.age}, {"pos", f.job.pos}});
+    const auto t0 = std::chrono::steady_clock::now();
+    runUnit(f, f.age, pool);
+    ModelMetrics::get().unit_busy_us.add(
+        static_cast<uint64_t>(microsSince(t0)));
 }
 
 void
@@ -271,23 +259,14 @@ WaveRunner::wave(std::span<ModelEngine *const> engines, ThreadPool *pool)
             const UnitRef &u = units_[static_cast<std::size_t>(i)];
             u.engine->runCollectedUnit(u.unit, nested);
         };
-        const auto t0 = std::chrono::steady_clock::now();
         if (lanes > 1 && total > 1)
             parallelFor(*pool, total, unit);
         else
             for (int i = 0; i < total; i++)
                 unit(i);
-        if constexpr (obs::kTelemetryEnabled) {
-            ModelMetrics &m = ModelMetrics::get();
-            m.rounds.add(1);
-            m.units.add(static_cast<uint64_t>(total));
-            // Capacity is charged only for lanes the hardware could
-            // really fill: an oversubscribed pool cannot compute more
-            // than `cores` unit-seconds per second.
-            m.round_capacity_us.add(
-                static_cast<uint64_t>(std::min(lanes, total)) *
-                static_cast<uint64_t>(microsSince(t0)));
-        }
+        ModelMetrics &m = ModelMetrics::get();
+        m.rounds.add(1);
+        m.units.add(static_cast<uint64_t>(total));
     }
     for (ModelEngine *e : engines)
         if (e->round_open_)

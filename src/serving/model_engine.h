@@ -113,8 +113,8 @@ class ModelEngine;
  * alone, and units of one wave touch disjoint state, so outputs do
  * not depend on the span, the pool, or the thread count.
  *
- * Owns the `model.round` span and the `model.rounds`, `model.units`
- * and `model.round_capacity_us` counters: one wave = one round. The
+ * Owns the `model.round` span and the `model.rounds` and
+ * `model.units` counters: one wave = one round. The
  * scratch vector is reused across waves, so a runner allocates only
  * while its widest wave grows.
  */

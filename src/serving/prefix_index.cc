@@ -84,13 +84,11 @@ PrefixIndex::acquire(std::span<const uint64_t> chain)
     stats_.hit_pages += static_cast<uint64_t>(match.pages);
     if (match.pages == 0)
         stats_.miss_lookups++;
-    if constexpr (obs::kTelemetryEnabled) {
-        PrefixMetrics &m = PrefixMetrics::get();
-        m.lookups.add(1);
-        m.hit_pages.add(static_cast<uint64_t>(match.pages));
-        if (match.pages == 0)
-            m.miss_lookups.add(1);
-    }
+    PrefixMetrics &m = PrefixMetrics::get();
+    m.lookups.add(1);
+    m.hit_pages.add(static_cast<uint64_t>(match.pages));
+    if (match.pages == 0)
+        m.miss_lookups.add(1);
     return match;
 }
 
@@ -151,8 +149,7 @@ PrefixIndex::publish(
             stats_.bytes += node->bytes;
             stats_.nodes++;
             stats_.published++;
-            if constexpr (obs::kTelemetryEnabled)
-                PrefixMetrics::get().published.add(1);
+            PrefixMetrics::get().published.add(1);
             fresh++;
             it = level->emplace(chain[d], std::move(node)).first;
         } else {
@@ -161,8 +158,7 @@ PrefixIndex::publish(
             // already attests content equality; re-registering is a
             // no-op beyond the LRU touch.
             stats_.rejected++;
-            if constexpr (obs::kTelemetryEnabled)
-                PrefixMetrics::get().rejected.add(1);
+            PrefixMetrics::get().rejected.add(1);
             it->second->last_use = tick_;
         }
         parent = it->second.get();
@@ -204,8 +200,7 @@ PrefixIndex::evictToBudget()
         stats_.bytes -= victim->bytes;
         stats_.nodes--;
         stats_.evictions++;
-        if constexpr (obs::kTelemetryEnabled)
-            PrefixMetrics::get().evictions.add(1);
+        PrefixMetrics::get().evictions.add(1);
         auto *level =
             victim->parent ? &victim->parent->children : &roots_;
         level->erase(victim->key);

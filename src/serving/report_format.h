@@ -31,8 +31,8 @@ std::string formatPercentiles(const Percentiles &p);
 /**
  * Multi-line run summary of @p r, each line prefixed with @p label:
  * token totals and rounds, peak residency, throughput, latency/TTFT/
- * TPOT percentile lines, and — when the report carries telemetry —
- * the derived pipeline-bubble and KV-bytes-per-token ratios.
+ * TPOT percentile lines, and the KV bytes committed per appended
+ * token.
  */
 std::string formatServingReport(std::string_view label,
                                 const ServingReport &r);

@@ -203,8 +203,6 @@ TEST(ConcurrencyStress, WindowedRetentionWavesMatchSerialOracle)
 
 TEST(ConcurrencyStress, WaveShapeIsThreadInvariantAndMergesSessions)
 {
-    if (!obs::kTelemetryEnabled)
-        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
     // With the admission clock pinned, the wave schedule is a pure
     // function of the trace: waves (model.rounds) and units
     // (model.units) must not move with the thread count. A schedule
@@ -371,7 +369,7 @@ TEST(ConcurrencyStress, ReadersInterleavedWithSerializedMutations)
     kc.v_scale = full.v.params.scale;
     KvCache cache(kc);
 
-    std::vector<float> ref(static_cast<std::size_t>(head_dim));
+    MatrixF ref(1, head_dim);
     for (int base = 0; base < total; base += phase_tokens) {
         // Mutation phase: owner appends a batch of tokens.
         for (int t = base; t < base + phase_tokens; t++)
@@ -381,23 +379,20 @@ TEST(ConcurrencyStress, ReadersInterleavedWithSerializedMutations)
         // Reference scan for this history length.
         {
             DecodeEngine engine{PadeConfig{}};
-            engine.step(cache, full.q.values.row(0),
-                        full.logit_scale, ref);
+            engine.stepGroup(cache, full.q.values, 0, 1,
+                             full.logit_scale, ref, 0);
         }
 
-        // Concurrent read phase.
+        // Concurrent read phase: reader r writes row r of outs.
         const int readers = 4;
-        std::vector<std::vector<float>> outs(
-            static_cast<std::size_t>(readers),
-            std::vector<float>(static_cast<std::size_t>(head_dim)));
+        MatrixF outs(readers, head_dim);
         std::vector<std::thread> threads;
         threads.reserve(static_cast<std::size_t>(readers));
         for (int r = 0; r < readers; r++) {
             threads.emplace_back([&cache, &full, &outs, r] {
                 DecodeEngine engine{PadeConfig{}};
-                engine.step(cache, full.q.values.row(0),
-                            full.logit_scale,
-                            outs[static_cast<std::size_t>(r)]);
+                engine.stepGroup(cache, full.q.values, 0, 1,
+                                 full.logit_scale, outs, r);
             });
         }
         for (std::thread &t : threads)
@@ -405,12 +400,8 @@ TEST(ConcurrencyStress, ReadersInterleavedWithSerializedMutations)
 
         for (int r = 0; r < readers; r++)
             for (int d = 0; d < head_dim; d++)
-                EXPECT_EQ(
-                    std::bit_cast<uint32_t>(
-                        outs[static_cast<std::size_t>(r)]
-                            [static_cast<std::size_t>(d)]),
-                    std::bit_cast<uint32_t>(
-                        ref[static_cast<std::size_t>(d)]))
+                EXPECT_EQ(std::bit_cast<uint32_t>(outs.at(r, d)),
+                          std::bit_cast<uint32_t>(ref.at(0, d)))
                     << "history " << base + phase_tokens << " reader "
                     << r << " dim " << d;
     }

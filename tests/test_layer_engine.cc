@@ -72,10 +72,10 @@ smallSpec(int heads, int kv_heads, int head_dim, int bits, int prompt,
 
 /**
  * The acceptance oracle: every query head of the layer decodes
- * against its OWN private copy of its KV head's stream through the
- * single-query step(), and the grouped layer execution must reproduce
- * it bit for bit — outputs, keep masks, plane traces, retained lists,
- * and summed statistics.
+ * against its OWN private copy of its KV head's stream as a group of
+ * one, and the grouped layer execution must reproduce it bit for bit
+ * — outputs, keep masks, plane traces, retained lists, and summed
+ * statistics.
  */
 void
 expectGqaMatchesPrivateCaches(int heads, int kv_heads, QkKernel kernel,
@@ -126,7 +126,7 @@ expectGqaMatchesPrivateCaches(int heads, int kv_heads, QkKernel kernel,
     MatrixI8 v_stage(kv_heads, head_dim);
     MatrixI8 q_stage(heads, head_dim);
     MatrixF out(heads, head_dim);
-    std::vector<float> priv_out(static_cast<std::size_t>(head_dim));
+    MatrixF priv_out(1, head_dim);
 
     const auto appendAll = [&](int pos) {
         lw.stageKv(pos, k_stage, v_stage);
@@ -155,13 +155,14 @@ expectGqaMatchesPrivateCaches(int heads, int kv_heads, QkKernel kernel,
             const int g = h % group;
             const QuantizedHead &grp = lw.groupOf(h);
             const DecodeStep ds =
-                priv_engines[static_cast<std::size_t>(h)].step(
+                priv_engines[static_cast<std::size_t>(h)].stepGroup(
                     priv_caches[static_cast<std::size_t>(h)],
-                    grp.q.values.row(lw.queryRow(h, pos)),
-                    grp.logit_scale, priv_out);
+                    grp.q.values, lw.queryRow(h, pos), 1,
+                    grp.logit_scale, priv_out, 0);
             retained_sum += ds.retained;
 
-            expectRowsBitEqual(out.row(h), priv_out, "decode out");
+            expectRowsBitEqual(out.row(h), priv_out.row(0),
+                               "decode out");
 
             const DecodeEngine &ge = layer.engine(kv);
             const DecodeEngine &pe =
@@ -526,8 +527,8 @@ TEST(Retention, SinkPinnedStreamReclaimsDeadMiddleBitIdentically)
     DecodeEngine on_evicted{PadeConfig{}, sinks};
     DecodeEngine on_resident{PadeConfig{}, sinks};
 
-    std::vector<float> out_a(head_dim);
-    std::vector<float> out_b(head_dim);
+    MatrixF out_a(1, head_dim);
+    MatrixF out_b(1, head_dim);
     for (int t = 0; t < prompt; t++) {
         evicted.appendToken(full.k.values.row(t), full.v.values.row(t));
         resident.appendToken(full.k.values.row(t),
@@ -539,15 +540,16 @@ TEST(Retention, SinkPinnedStreamReclaimsDeadMiddleBitIdentically)
                             full.v.values.row(pos));
         resident.appendToken(full.k.values.row(pos),
                              full.v.values.row(pos));
-        const DecodeStep a = on_evicted.step(
-            evicted, full.q.values.row(t), full.logit_scale, out_a);
+        const DecodeStep a = on_evicted.stepGroup(
+            evicted, full.q.values, t, 1, full.logit_scale, out_a, 0);
         on_evicted.applyRetention(evicted);
-        const DecodeStep b = on_resident.step(
-            resident, full.q.values.row(t), full.logit_scale, out_b);
+        const DecodeStep b = on_resident.stepGroup(
+            resident, full.q.values, t, 1, full.logit_scale, out_b, 0);
         EXPECT_EQ(a.keys, b.keys);
         EXPECT_EQ(a.retained, b.retained);
         EXPECT_EQ(a.planes, b.planes);
-        expectRowsBitEqual(out_a, out_b, "middle-drop parity");
+        expectRowsBitEqual(out_a.row(0), out_b.row(0),
+                           "middle-drop parity");
     }
     expectStatsEqual(on_evicted.stats(), on_resident.stats());
 
@@ -588,8 +590,8 @@ TEST(Retention, WindowCoveringHistoryIsBitIdenticalToFullDecode)
     DecodeEngine plain{PadeConfig{}};
     DecodeEngine windowed{PadeConfig{}, wide};
 
-    std::vector<float> out_a(head_dim);
-    std::vector<float> out_b(head_dim);
+    MatrixF out_a(1, head_dim);
+    MatrixF out_b(1, head_dim);
     for (int t = 0; t < prompt; t++) {
         cache_a.appendToken(full.k.values.row(t), full.v.values.row(t));
         cache_b.appendToken(full.k.values.row(t), full.v.values.row(t));
@@ -600,16 +602,17 @@ TEST(Retention, WindowCoveringHistoryIsBitIdenticalToFullDecode)
                             full.v.values.row(pos));
         cache_b.appendToken(full.k.values.row(pos),
                             full.v.values.row(pos));
-        const DecodeStep a = plain.step(
-            cache_a, full.q.values.row(t), full.logit_scale, out_a);
-        const DecodeStep b = windowed.step(
-            cache_b, full.q.values.row(t), full.logit_scale, out_b);
+        const DecodeStep a = plain.stepGroup(
+            cache_a, full.q.values, t, 1, full.logit_scale, out_a, 0);
+        const DecodeStep b = windowed.stepGroup(
+            cache_b, full.q.values, t, 1, full.logit_scale, out_b, 0);
         windowed.applyRetention(cache_b);
         EXPECT_EQ(cache_b.firstLiveToken(), 0); // sinks pin the head
         EXPECT_EQ(a.keys, b.keys);
         EXPECT_EQ(a.retained, b.retained);
         EXPECT_EQ(a.planes, b.planes);
-        expectRowsBitEqual(out_a, out_b, "retention parity");
+        expectRowsBitEqual(out_a.row(0), out_b.row(0),
+                           "retention parity");
         auto ka = plain.lastKeep();
         auto kb = windowed.lastKeep();
         ASSERT_EQ(ka.size(), kb.size());
@@ -640,11 +643,11 @@ TEST(Retention, SlidingWindowScansOnlyTheWindowAndReclaimsPages)
     window.recency_tokens = 8;
     DecodeEngine engine{PadeConfig{}, window};
 
-    std::vector<float> out(head_dim);
+    MatrixF out(1, head_dim);
     for (int t = 0; t < 36; t++)
         cache.appendToken(full.k.values.row(t), full.v.values.row(t));
-    const DecodeStep st = engine.step(cache, full.q.values.row(0),
-                                      full.logit_scale, out);
+    const DecodeStep st = engine.stepGroup(cache, full.q.values, 0, 1,
+                                           full.logit_scale, out, 0);
     EXPECT_EQ(st.keys, 8); // only the trailing window is visited
     for (int id : engine.lastRetained())
         EXPECT_GE(id, 36 - 8);
@@ -656,10 +659,10 @@ TEST(Retention, SlidingWindowScansOnlyTheWindowAndReclaimsPages)
 
     // Decode continues over the evicted cache.
     cache.appendToken(full.k.values.row(36), full.v.values.row(36));
-    const DecodeStep st2 = engine.step(cache, full.q.values.row(1),
-                                       full.logit_scale, out);
+    const DecodeStep st2 = engine.stepGroup(cache, full.q.values, 1, 1,
+                                            full.logit_scale, out, 0);
     EXPECT_EQ(st2.keys, 8);
-    for (float v : out)
+    for (float v : out.row(0))
         EXPECT_TRUE(std::isfinite(v));
 }
 
@@ -746,9 +749,9 @@ TEST(Retention, SinkPlusRecencyVisitsBothRegions)
     policy.sink_tokens = 4;
     policy.recency_tokens = 8;
     DecodeEngine engine{PadeConfig{}, policy};
-    std::vector<float> out(head_dim);
-    const DecodeStep st = engine.step(cache, full.q.values.row(0),
-                                      full.logit_scale, out);
+    MatrixF out(1, head_dim);
+    const DecodeStep st = engine.stepGroup(cache, full.q.values, 0, 1,
+                                           full.logit_scale, out, 0);
     EXPECT_EQ(st.keys, 12); // 4 sinks + 8 recent
     auto planes = engine.lastPlanes();
     for (int j = 0; j < 33; j++) {

@@ -5,12 +5,7 @@
  * span recording / ring wrap / Chrome export — plus the two
  * system-level contracts PR 9 rides on: concurrent writers against a
  * concurrent snapshot/export reader (the TSan stress target), and
- * bit-identity of serving outputs with telemetry recording on vs off.
- *
- * Compile-mode note: in a PADE_TELEMETRY=OFF build the recording
- * paths are no-ops by design; tests asserting counters move are
- * skipped there (obs::kTelemetryEnabled), while the export-validity
- * and bit-identity tests run in both modes.
+ * bit-identity of serving outputs with trace recording on vs off.
  */
 
 #include <gtest/gtest.h>
@@ -42,8 +37,6 @@ using obs::Registry;
 
 TEST(ObsCounter, ShardsSumOnRead)
 {
-    if (!obs::kTelemetryEnabled)
-        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
     obs::Counter &c = Registry::instance().counter("test.ctr_basic");
     const uint64_t before = c.value();
     c.add();
@@ -53,8 +46,6 @@ TEST(ObsCounter, ShardsSumOnRead)
 
 TEST(ObsCounter, ConcurrentAddsAreExact)
 {
-    if (!obs::kTelemetryEnabled)
-        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
     obs::Counter &c =
         Registry::instance().counter("test.ctr_concurrent");
     const uint64_t before = c.value();
@@ -85,8 +76,6 @@ TEST(ObsCounter, SameNameSameObject)
 
 TEST(ObsGauge, LastWriteWins)
 {
-    if (!obs::kTelemetryEnabled)
-        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
     obs::Gauge &g = Registry::instance().gauge("test.gauge");
     g.set(3.0);
     g.set(7.5);
@@ -112,8 +101,6 @@ TEST(ObsHistogram, BucketGeometry)
 
 TEST(ObsHistogram, ExactMomentsAndQuantizedPercentiles)
 {
-    if (!obs::kTelemetryEnabled)
-        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
     obs::Histogram &h =
         Registry::instance().histogram("test.hist_moments");
     for (int i = 1; i <= 100; i++)
@@ -140,8 +127,6 @@ TEST(ObsHistogram, ExactMomentsAndQuantizedPercentiles)
 
 TEST(ObsSnapshot, DeltaIsolatesOneRun)
 {
-    if (!obs::kTelemetryEnabled)
-        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
     obs::Counter &c = Registry::instance().counter("test.ctr_delta");
     obs::Histogram &h =
         Registry::instance().histogram("test.hist_delta");
@@ -188,12 +173,7 @@ TEST(ObsSnapshot, JsonIsWellFormed)
         ASSERT_GE(depth, 0);
     }
     EXPECT_EQ(depth, 0);
-    if (obs::kTelemetryEnabled) {
-        EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
-        EXPECT_NE(json.find("\"test.ctr_json\""), std::string::npos);
-    } else {
-        EXPECT_NE(json.find("\"enabled\":false"), std::string::npos);
-    }
+    EXPECT_NE(json.find("\"test.ctr_json\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -218,8 +198,6 @@ struct TraceSandbox
 
 TEST(ObsTrace, SpanRecordsCompleteEvent)
 {
-    if (!obs::kTelemetryEnabled)
-        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
     TraceSandbox sandbox;
     obs::setTraceEnabled(true);
     {
@@ -257,8 +235,6 @@ TEST(ObsTrace, DisabledRecordsNothing)
 
 TEST(ObsTrace, RingWrapsAndCountsDrops)
 {
-    if (!obs::kTelemetryEnabled)
-        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
     TraceSandbox sandbox;
     obs::setTraceCapacity(16);
     obs::setTraceEnabled(true);
@@ -272,8 +248,6 @@ TEST(ObsTrace, RingWrapsAndCountsDrops)
 
 TEST(ObsTrace, WritesParseableFile)
 {
-    if (!obs::kTelemetryEnabled)
-        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
     TraceSandbox sandbox;
     obs::setTraceEnabled(true);
     {
@@ -352,12 +326,9 @@ TEST_P(ObsStress, WritersAgainstConcurrentReader)
     reader.join();
     obs::setTraceEnabled(false);
 
-    if (obs::kTelemetryEnabled) {
-        EXPECT_EQ(ctr.value(),
-                  ctr_before +
-                      static_cast<uint64_t>(writers) * kIters);
-        EXPECT_GT(obs::traceStats().recorded, 0u);
-    }
+    EXPECT_EQ(ctr.value(),
+              ctr_before + static_cast<uint64_t>(writers) * kIters);
+    EXPECT_GT(obs::traceStats().recorded, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ObsStress,
@@ -407,14 +378,10 @@ TEST(ObsBitIdentity, BatcherChecksumsUnchangedByTracing)
         EXPECT_EQ(plain.sessions[i].prefill_checksum,
                   traced.sessions[i].prefill_checksum);
     }
-    // The traced run carries a telemetry blob either way (all zeros
-    // when compiled out), and it is always structurally valid.
+    // The traced run carries a structurally valid telemetry blob.
     EXPECT_NE(traced.telemetry.find(
                   "\"schema\":\"pade-serving-telemetry-v1\""),
               std::string::npos);
-    EXPECT_NE(
-        traced.telemetry.find("\"pipeline_bubble_ratio\""),
-        std::string::npos);
     EXPECT_NE(traced.telemetry.find("\"kv_bytes_per_token\""),
               std::string::npos);
 }
@@ -495,8 +462,6 @@ TEST(ObsBitIdentity, LayerOutputsAndPruneStatsUnchangedByTracing)
 
 TEST(ObsWiring, ServingRunPopulatesSubsystemCounters)
 {
-    if (!obs::kTelemetryEnabled)
-        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
     TraceSandbox sandbox;
     TraceSpec ts;
     ts.num_requests = 4;
@@ -537,7 +502,6 @@ TEST(ObsWiring, ServingRunPopulatesSubsystemCounters)
               d.counter("decode.planes_consumed"));
     EXPECT_GT(d.counter("model.rounds"), 0u);
     EXPECT_GT(d.counter("model.unit_busy_us"), 0u);
-    EXPECT_GT(d.counter("model.round_capacity_us"), 0u);
     EXPECT_GT(d.counter("prefix.lookups"), 0u);
     // Waves clamp their fan-out to the hardware width: on a
     // single-core host every wave legitimately runs inline on the
@@ -548,8 +512,6 @@ TEST(ObsWiring, ServingRunPopulatesSubsystemCounters)
     const HistogramStat *lat = d.histogram("serving.latency_us");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count, 4u);
-    EXPECT_GE(report.pipeline_bubble_ratio, 0.0);
-    EXPECT_LE(report.pipeline_bubble_ratio, 1.0);
     EXPECT_GT(report.kv_bytes_per_token, 0.0);
 }
 

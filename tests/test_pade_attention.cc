@@ -59,6 +59,42 @@ TEST(ScanOrder, HeadTailVisitsLastTileSecond)
     EXPECT_EQ(order[16], 48);
 }
 
+TEST(PadeAttentionDeathTest, InvalidConfigAbortsInEveryBuild)
+{
+    // A zero or negative tile, a subgroup outside [1, 64] or zero
+    // muxes used to crash (SIGFPE, std::length_error) or hang (a
+    // planeWork loop stepping by 0) in Release builds, where the
+    // asserts are compiled out. PADE_CHECKs refuse them once per call.
+    WorkloadSpec spec;
+    spec.seq_len = 256;
+    spec.query_len = 2;
+    spec.head_dim = 64;
+    spec.seed = 20;
+    const QuantizedHead head = quantizeHead(generateHead(spec), 8);
+    const auto run = [&head](auto edit) {
+        PadeConfig cfg;
+        edit(cfg);
+        return padeAttention(head, cfg);
+    };
+    EXPECT_DEATH(run([](PadeConfig &c) { c.tile_bc = 0; }),
+                 "PADE_CHECK.*tile");
+    EXPECT_DEATH(run([](PadeConfig &c) { c.tile_bc = -4; }),
+                 "PADE_CHECK.*tile");
+    EXPECT_DEATH(run([](PadeConfig &c) { c.subgroup = 0; }),
+                 "PADE_CHECK.*subgroup");
+    EXPECT_DEATH(run([](PadeConfig &c) { c.subgroup = 65; }),
+                 "PADE_CHECK.*subgroup");
+    EXPECT_DEATH(run([](PadeConfig &c) { c.muxes = 0; }),
+                 "PADE_CHECK.*muxes");
+    // The boundary values themselves are valid.
+    const PadeResult edge = run([](PadeConfig &c) {
+        c.tile_bc = 1;
+        c.subgroup = 64;
+        c.muxes = 1;
+    });
+    EXPECT_EQ(edge.out.rows(), 2);
+}
+
 TEST(PadeAttention, GuardDisabledKeepsEverything)
 {
     const QuantizedHead head = quantizeHead(generateHead(smallSpec()));

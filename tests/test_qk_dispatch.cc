@@ -3,10 +3,11 @@
  * Tests for the QK kernel dispatch seam (core/simd/qk_dispatch.h) and
  * the SIMD backend's bit-exactness against the scalar oracle,
  * including the remainder/tail shapes that exercise masked loads and
- * padded storage: head_dims that are not multiples of the SIMD width
- * and the boundary between the value-domain and plane-domain kernels.
- * The per-key guarded kernels (popcount, AVX2, AVX-512BW) are checked
- * against a replay built from planeDeltaScalar and GuardFilter.
+ * padded storage: head_dims that are not multiples of the SIMD width,
+ * and rows long enough that the AVX2 kernel must widen its 16-bit
+ * lanes mid-row. The per-key guarded kernels (popcount, AVX2,
+ * AVX-512BW) are checked against a replay built from planeDeltaScalar
+ * and GuardFilter.
  *
  * Every parity test also passes in non-AVX2 builds (or on non-AVX2
  * hosts): the *Simd entry points then fall back to the popcount
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/bit_serial.h"
@@ -201,8 +203,9 @@ TEST(QkDispatch, PlaneStorageIs32ByteAligned)
  * Parameterized over head_dim: every shape must be bit-identical
  * across all three kernels. The values deliberately straddle the
  * SIMD width boundaries — 65/127 leave masked remainders in the
- * value-domain kernel, 257/300 exercise the plane-domain wide path's
- * tail chunk, and 1/3 are degenerate single-word rows.
+ * value-domain kernels, 257/300 end in a partial 256-bit chunk,
+ * 4097 spans more than the 127 chunks one 16-bit AVX2 lane
+ * accumulation may hold, and 1/3 are degenerate single-word rows.
  */
 class SimdTailTest : public ::testing::TestWithParam<int>
 {
@@ -222,10 +225,7 @@ TEST_P(SimdTailTest, MaskedSumSimdMatchesOracle)
                 for (int d = 0; d < cols; d++)
                     if (planes.bit(j, r, d))
                         ref += q.at(0, d);
-                const auto mask = planes.plane(j, r);
-                EXPECT_EQ(qp.maskedSum(mask), ref)
-                    << "cols=" << cols << " bits=" << bits;
-                EXPECT_EQ(qp.maskedSumSimd(mask), ref)
+                EXPECT_EQ(qp.maskedSum(planes.plane(j, r)), ref)
                     << "cols=" << cols << " bits=" << bits;
             }
     }
@@ -241,10 +241,8 @@ TEST_P(SimdTailTest, PlaneDeltaSimdMatchesScalar)
         const QueryPlanes qp(q.row(0));
         for (int j = 0; j < 3; j++)
             for (int r = 0; r < bits; r++) {
-                const int64_t ref =
-                    planeDeltaScalar(q.row(0), planes, j, r);
-                EXPECT_EQ(planeDelta(qp, planes, j, r), ref);
-                EXPECT_EQ(planeDeltaSimd(qp, planes, j, r), ref)
+                EXPECT_EQ(planeDelta(qp, planes, j, r),
+                          planeDeltaScalar(q.row(0), planes, j, r))
                     << "cols=" << cols << " bits=" << bits
                     << " j=" << j << " r=" << r;
             }
@@ -308,37 +306,43 @@ using PerKeyRunner = std::function<KeyScore(
 void
 expectPerKeyMatchesReplay(int cols, const PerKeyRunner &run)
 {
-    for (int bits : {2, 4, 8}) {
-        MatrixI8 q = randomRanged(1, cols, 8, 600 + cols + bits, 0.55);
-        MatrixI8 k = randomRanged(24, cols, bits, 700 + cols + bits);
-        const BitPlaneSet keys(k, bits);
-        const QueryPlanes qp(q.row(0));
-        const BuiTable bui = computeBuiTable(q.row(0), bits);
-        const double logit_scale = 1.0 / (8.0 * cols);
-        for (bool prune : {false, true}) {
-            GuardFilter ref(0.5, 5.0, logit_scale);
-            GuardFilter got(0.5, 5.0, logit_scale);
-            int pruned = 0;
-            for (int j = 0; j < keys.numRows(); j++) {
-                const KeyScore want =
-                    replayGuardedKey(q.row(0), keys, j, bui, ref, prune);
-                const KeyScore have =
-                    run(qp, q.row(0), keys, j, bui, got, prune);
-                SCOPED_TRACE(testing::Message()
-                             << "cols=" << cols << " bits=" << bits
-                             << " prune=" << prune << " key=" << j);
-                EXPECT_EQ(have.score, want.score);
-                EXPECT_EQ(have.planes, want.planes);
-                EXPECT_EQ(have.pruned, want.pruned);
-                EXPECT_EQ(got.maxLowerBound(), ref.maxLowerBound());
-                EXPECT_EQ(got.updates(), ref.updates());
-                pruned += want.pruned;
-            }
-            if (prune && bits == 8) {
-                EXPECT_GT(pruned, 0) << "cols=" << cols;
+    // An 8-plane and a narrow 4-plane query: every kernel must score
+    // any width QueryPlanes narrows a row to.
+    for (int qbits : {8, 4})
+        for (int bits : {2, 4, 8}) {
+            MatrixI8 q = randomRanged(1, cols, qbits,
+                                      600 + cols + bits + qbits, 0.55);
+            MatrixI8 k = randomRanged(24, cols, bits, 700 + cols + bits);
+            const BitPlaneSet keys(k, bits);
+            const QueryPlanes qp(q.row(0));
+            const BuiTable bui = computeBuiTable(q.row(0), bits);
+            const double logit_scale = 1.0 / (8.0 * cols);
+            for (bool prune : {false, true}) {
+                GuardFilter ref(0.5, 5.0, logit_scale);
+                GuardFilter got(0.5, 5.0, logit_scale);
+                int pruned = 0;
+                for (int j = 0; j < keys.numRows(); j++) {
+                    const KeyScore want = replayGuardedKey(
+                        q.row(0), keys, j, bui, ref, prune);
+                    const KeyScore have =
+                        run(qp, q.row(0), keys, j, bui, got, prune);
+                    SCOPED_TRACE(testing::Message()
+                                 << "cols=" << cols << " qbits=" << qbits
+                                 << " bits=" << bits << " prune=" << prune
+                                 << " key=" << j);
+                    EXPECT_EQ(have.score, want.score);
+                    EXPECT_EQ(have.planes, want.planes);
+                    EXPECT_EQ(have.pruned, want.pruned);
+                    EXPECT_EQ(got.maxLowerBound(), ref.maxLowerBound());
+                    EXPECT_EQ(got.updates(), ref.updates());
+                    pruned += want.pruned;
+                }
+                if (prune && bits == 8) {
+                    EXPECT_GT(pruned, 0)
+                        << "cols=" << cols << " qbits=" << qbits;
+                }
             }
         }
-    }
 }
 
 /** A raw per-key SIMD kernel, called directly (not via keyKernel). */
@@ -355,6 +359,32 @@ directRunner(simd::KeyKernel kernel)
                       keys.planeStride(), keys.numPlanes(),
                       keys.numPlanes(), &g);
     };
+}
+
+/** The per-key SIMD kernels this host can call directly: AVX2 where
+ *  the CPU has it (or its portable stub in builds without it), and
+ *  AVX-512BW where the CPU and OS support it. */
+std::vector<simd::KeyKernel>
+directKernels()
+{
+    std::vector<simd::KeyKernel> out;
+    if (simd::qkAvx2Compiled() && !qkSimdAvailable())
+        return out;
+    out.push_back(&simd::scoreKeyAvx2);
+    const simd::CpuFeatures &f = simd::cpuFeatures();
+    if (f.avx512f && f.avx512bw && f.os_zmm)
+        out.push_back(&simd::scoreKeyAvx512);
+    return out;
+}
+
+/** Dense partial dot (planes 0..r of key @p row) through @p kernel. */
+int64_t
+partialDotVia(simd::KeyKernel kernel, const QueryPlanes &qp,
+              const BitPlaneSet &keys, int row, int r)
+{
+    return kernel(qp.simdView(), keys.rowPlanes(row).data(),
+                  keys.planeStride(), keys.numPlanes(), r + 1, nullptr)
+        .score;
 }
 
 TEST_P(SimdTailTest, PerKeyPopcountMatchesGuardedReplay)
@@ -402,7 +432,7 @@ TEST_P(SimdTailTest, PerKeyAvx512MatchesGuardedReplay)
 INSTANTIATE_TEST_SUITE_P(TailShapes, SimdTailTest,
                          ::testing::Values(1, 3, 31, 63, 64, 65, 96,
                                            127, 128, 129, 255, 256,
-                                           257, 300, 512));
+                                           257, 300, 512, 4097));
 
 TEST(QkSimd, NarrowedQueryWidthsMatch)
 {
@@ -418,10 +448,16 @@ TEST(QkSimd, NarrowedQueryWidthsMatch)
         qp.assign(q.row(0));
         EXPECT_LE(qp.numPlanes(), qbits + 1);
         for (int j = 0; j < 2; j++)
-            for (int r = 0; r < 8; r++)
-                EXPECT_EQ(planeDeltaSimd(qp, planes, j, r),
-                          planeDeltaScalar(q.row(0), planes, j, r))
+            for (int r = 0; r < 8; r++) {
+                const int64_t ref =
+                    partialDotScalar(q.row(0), planes, j, r);
+                EXPECT_EQ(partialDotSimd(qp, planes, j, r), ref)
                     << "qbits=" << qbits;
+                for (const simd::KeyKernel kernel : directKernels())
+                    EXPECT_EQ(partialDotVia(kernel, qp, planes, j, r),
+                              ref)
+                        << "qbits=" << qbits;
+            }
     }
 }
 
@@ -429,16 +465,46 @@ TEST(QkSimd, ForcedWidthTruncationStaysConsistent)
 {
     // A caller-forced width that truncates values must keep the
     // plane-domain and value-domain kernels mutually consistent
-    // (both see the truncated reconstruction).
+    // (both see the truncated reconstruction), so the reference is
+    // the popcount kernel over the truncated planes.
     MatrixI8 q = randomRanged(1, 96, 8, 400);
     MatrixI8 k = randomRanged(2, 96, 8, 401);
     BitPlaneSet planes(k, 8);
     QueryPlanes qp;
     qp.assign(q.row(0), 4); // truncates 8-bit values to 4 bits
     for (int j = 0; j < 2; j++)
-        for (int r = 0; r < 8; r++)
-            EXPECT_EQ(qp.maskedSumSimd(planes.plane(j, r)),
-                      qp.maskedSum(planes.plane(j, r)));
+        for (int r = 0; r < 8; r++) {
+            const int64_t ref = partialDot(qp, planes, j, r);
+            EXPECT_EQ(partialDotSimd(qp, planes, j, r), ref);
+            for (const simd::KeyKernel kernel : directKernels())
+                EXPECT_EQ(partialDotVia(kernel, qp, planes, j, r), ref);
+        }
+}
+
+TEST(QkSimd, AllOnesWideKeyDoesNotWrap)
+{
+    // The worst case for the AVX2 value kernel's 16-bit lanes: every
+    // plane of a 4097-element key is all ones (each element is -1)
+    // against a query of all -128, so each plane selects the whole
+    // row and a lane gains -256 per 32-element chunk. The row spans
+    // 129 chunks, past the 127 a 16-bit lane can hold.
+    const int cols = 4097;
+    MatrixI8 q(1, cols);
+    MatrixI8 k(1, cols);
+    for (int d = 0; d < cols; d++) {
+        q.at(0, d) = -128;
+        k.at(0, d) = -1;
+    }
+    const BitPlaneSet planes(k, 8);
+    const QueryPlanes qp(q.row(0));
+    EXPECT_EQ(exactDotScalar(q.row(0), planes, 0), int64_t{128} * cols);
+    for (int r = 0; r < 8; r++) {
+        const int64_t ref = partialDotScalar(q.row(0), planes, 0, r);
+        EXPECT_EQ(partialDotSimd(qp, planes, 0, r), ref) << "r=" << r;
+        for (const simd::KeyKernel kernel : directKernels())
+            EXPECT_EQ(partialDotVia(kernel, qp, planes, 0, r), ref)
+                << "r=" << r;
+    }
 }
 
 TEST(QkSimd, ReusedQueryPlanesStayConsistent)

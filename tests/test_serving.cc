@@ -1,7 +1,7 @@
 /**
  * @file
  * Serving-layer tests: incremental bit-plane KV cache, the
- * single-query decode engine's bit-identity with batch padeAttention
+ * decode engine's single-query bit-identity with batch padeAttention
  * across all three QK kernels, and the continuous batcher's
  * scheduling/determinism contracts.
  */
@@ -262,15 +262,15 @@ expectDecodeMatchesBatch(QkKernel kernel, int bits, int page_tokens,
     for (int t = 0; t < prompt; t++)
         cache.appendToken(full.k.values.row(t), full.v.values.row(t));
 
-    std::vector<float> out(static_cast<std::size_t>(head_dim));
+    MatrixF out(1, head_dim);
     for (int t = 0; t < steps; t++) {
         const int pos = prompt + t;
         cache.appendToken(full.k.values.row(pos),
                           full.v.values.row(pos));
 
         const PruneStats before = engine.stats();
-        const DecodeStep st = engine.step(cache, full.q.values.row(t),
-                                          full.logit_scale, out);
+        const DecodeStep st = engine.stepGroup(
+            cache, full.q.values, t, 1, full.logit_scale, out, 0);
 
         // From-scratch reference: re-pack the whole history, run the
         // batch algorithm with this step's query as the only row.
@@ -284,8 +284,7 @@ expectDecodeMatchesBatch(QkKernel kernel, int bits, int page_tokens,
 
         // Output row: bit-for-bit.
         for (int d = 0; d < head_dim; d++)
-            EXPECT_EQ(std::bit_cast<uint32_t>(out[static_cast<
-                          std::size_t>(d)]),
+            EXPECT_EQ(std::bit_cast<uint32_t>(out.at(0, d)),
                       std::bit_cast<uint32_t>(r.out.at(0, d)))
                 << "step " << t << " dim " << d;
 
@@ -378,17 +377,16 @@ TEST(DecodeEngine, SinglePageAndUnguardedDense)
     EXPECT_EQ(cache.numPages(), 1);
 
     DecodeEngine engine(cfg);
-    std::vector<float> out(h);
-    const DecodeStep st = engine.step(cache, full.q.values.row(0),
-                                      full.logit_scale, out);
+    MatrixF out(1, h);
+    const DecodeStep st = engine.stepGroup(cache, full.q.values, 0, 1,
+                                           full.logit_scale, out, 0);
     EXPECT_EQ(st.retained, prompt + 1);
     EXPECT_EQ(st.planes, static_cast<uint64_t>(8 * (prompt + 1)));
 
     const QuantizedHead ref = subHead(full, prompt + 1, 0, fh.scale);
     const PadeResult r = padeAttention(ref, cfg);
     for (int d = 0; d < h; d++)
-        EXPECT_EQ(std::bit_cast<uint32_t>(out[static_cast<std::size_t>(
-                      d)]),
+        EXPECT_EQ(std::bit_cast<uint32_t>(out.at(0, d)),
                   std::bit_cast<uint32_t>(r.out.at(0, d)));
 }
 
@@ -439,6 +437,36 @@ TEST(ContinuousBatcher, CompletesEveryRequestAndRespectsSlots)
     EXPECT_GE(rep.latency_ms.p99, rep.latency_ms.p95);
     EXPECT_GE(rep.latency_ms.p95, rep.latency_ms.p50);
     EXPECT_GT(rep.latency_ms.p50, 0.0);
+}
+
+TEST(ContinuousBatcherDeathTest, InvalidPadeConfigAbortsInEveryBuild)
+{
+    // The serving path takes its PadeConfig from BatcherOptions::pade:
+    // the KvCache constructor refuses a bad GSAT geometry and the
+    // first scan refuses a bad tile, in every build type.
+    TraceSpec ts;
+    ts.num_requests = 2;
+    ts.prompt_min = 8;
+    ts.prompt_max = 16;
+    ts.decode_min = 1;
+    ts.decode_max = 2;
+    ts.seed = 23;
+    const std::vector<ServingRequest> trace = poissonArrivalTrace(ts);
+    const auto run = [&trace](auto edit) {
+        BatcherOptions opt;
+        opt.threads = 1;
+        opt.head_dim = 32;
+        edit(opt.pade);
+        return ContinuousBatcher(opt).run(trace);
+    };
+    EXPECT_DEATH(run([](PadeConfig &c) { c.tile_bc = 0; }),
+                 "PADE_CHECK.*tile");
+    EXPECT_DEATH(run([](PadeConfig &c) { c.subgroup = 0; }),
+                 "PADE_CHECK.*subgroup");
+    EXPECT_DEATH(run([](PadeConfig &c) { c.subgroup = 65; }),
+                 "PADE_CHECK.*subgroup");
+    EXPECT_DEATH(run([](PadeConfig &c) { c.muxes = 0; }),
+                 "PADE_CHECK.*muxes");
 }
 
 TEST(ContinuousBatcher, TokenOutputsDeterministicAcrossThreadCounts)
