@@ -13,8 +13,12 @@
 #include "core/bit_serial.h"
 #include "core/bui.h"
 #include "core/guard_filter.h"
+#include "core/guarded_scan.h"
 #include "core/pade_attention.h"
 #include "core/rars.h"
+#include "core/simd/cpu_features.h"
+#include "core/simd/qk_dispatch.h"
+#include "core/simd/qk_simd.h"
 #include "workload/generator.h"
 
 namespace pade {
@@ -135,6 +139,64 @@ BM_ExactDotSimd(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * h);
 }
 BENCHMARK(BM_ExactDotSimd)->Arg(128)->Arg(256)->Arg(512);
+
+/**
+ * The guarded scan's SIMD tile kernels, called directly: one
+ * 2048-key, head_dim 64, 8-bit key set scanned by a GQA group of 4
+ * query heads in ISTA tiles of 16 keys, head-tail order, at the
+ * default guard. Arg 0 runs scanTileAvx512, arg 1 scanTileAvx2
+ * (dispatch never picks AVX2 on an AVX-512 host, so this is where its
+ * number comes from). Items are (key, head) pairs.
+ */
+void
+BM_ScanTile(benchmark::State &state)
+{
+    const bool avx512 = state.range(0) == 0;
+    const simd::CpuFeatures &f = simd::cpuFeatures();
+    if (!qkSimdAvailable() ||
+        (avx512 && !(f.avx512f && f.avx512bw && f.os_zmm))) {
+        state.SkipWithError("tile kernel not supported on this CPU");
+        return;
+    }
+    const simd::TileKernel kernel =
+        avx512 ? &simd::scanTileAvx512 : &simd::scanTileAvx2;
+    constexpr int kKeys = 2048;
+    constexpr int kHeads = 4;
+    const PadeConfig cfg;
+    WorkloadSpec spec;
+    spec.seq_len = kKeys;
+    spec.query_len = kHeads;
+    spec.head_dim = 64;
+    spec.seed = 42;
+    const QuantizedHead head = quantizeHead(generateHead(spec));
+    const ScanPlan plan(QkKernel::kSimd, 8, head.k_planes.planeStride(),
+                        cfg.guard_enabled);
+    const GuardFilter fresh(cfg.alpha, cfg.radius, head.logit_scale);
+    std::vector<ScanQuery> rows(kHeads);
+    std::vector<simd::TileRow> views;
+    for (int g = 0; g < kHeads; g++) {
+        rows[g].start(head.q.values.row(g), QkKernel::kSimd, 8, fresh,
+                      nullptr, nullptr);
+        views.push_back(rows[g].tileRow());
+    }
+    const std::vector<int> order =
+        istaScanOrder(kKeys, cfg.tile_bc, cfg.head_tail);
+    std::vector<KeyScore> out(
+        static_cast<std::size_t>(cfg.tile_bc) * kHeads);
+    for (auto _ : state) {
+        for (ScanQuery &sq : rows)
+            sq.guard = fresh;
+        for (std::size_t o = 0; o < order.size();
+             o += static_cast<std::size_t>(cfg.tile_bc))
+            kernel({head.k_planes.rowPlanes(order[o]).data(),
+                    plan.keyStride(), plan.stride, 8, 8, cfg.tile_bc,
+                    plan.prune},
+                   views, out.data());
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations() * kKeys * kHeads);
+}
+BENCHMARK(BM_ScanTile)->Arg(0)->Arg(1);
 
 void
 BM_PlaneDeltaBs(benchmark::State &state)

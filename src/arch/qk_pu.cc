@@ -6,6 +6,7 @@
 #include <deque>
 #include <unordered_map>
 
+#include "common/check.h"
 #include "common/math_util.h"
 #include "core/bit_serial.h"
 #include "energy/tech.h"
@@ -72,6 +73,11 @@ simulateQkPu(const ArchConfig &cfg, const QuantizedHead &head,
     const int plane_bytes = head.k_planes.planeBytes();
     const int bits = head.k_planes.numPlanes();
     const int passes = static_cast<int>(ceilDiv(h, cfg.lane_dim));
+    // planeWork's GSAT geometry, checked once per call: a zero
+    // subgroup or mux count would divide by zero or loop forever.
+    PADE_CHECK_GE(cfg.subgroup, 1);
+    PADE_CHECK_LE(cfg.subgroup, 64);
+    PADE_CHECK_GE(cfg.muxes, 1);
 
     QkPuResult res;
 

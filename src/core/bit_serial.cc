@@ -65,6 +65,21 @@ planeWork(const BitPlaneSet &keys, int key, int plane, int subgroup,
     return w;
 }
 
+void
+workPrefixRow(const BitPlaneSet &keys, int key, int subgroup, int muxes,
+              WorkPrefix *out)
+{
+    assert(keys.numPlanes() * keys.numCols() <= kMaxWorkPrefixElems);
+    int bs = 0;
+    int naive = 0;
+    for (int r = 0; r < keys.numPlanes(); r++) {
+        const PlaneWork w = planeWork(keys, key, r, subgroup, muxes);
+        bs += w.selected_bs;
+        naive += w.selected_naive;
+        out[r] = {static_cast<uint16_t>(bs), static_cast<uint16_t>(naive)};
+    }
+}
+
 int64_t
 planeDelta(const QueryPlanes &q, const BitPlaneSet &keys, int key,
            int plane)

@@ -56,6 +56,30 @@ PlaneWork planeWork(const BitPlaneSet &keys, int key, int plane,
                     int subgroup = 8, int muxes = 4);
 
 /**
+ * Running sums of PlaneWork::selected_bs and selected_naive over
+ * planes 0..r of one key. Entry r of a key's row is what a guarded
+ * scan that stops after plane r books, so booking costs one read per
+ * (key, query row) however many planes the key consumed. 16 bits
+ * hold any bits * cols up to kMaxWorkPrefixElems.
+ */
+struct WorkPrefix
+{
+    uint16_t bs = 0;    //!< sum of selected_bs over planes 0..r
+    uint16_t naive = 0; //!< sum of selected_naive over planes 0..r
+};
+
+/** Largest bits * cols a WorkPrefix row counts without wrapping. */
+inline constexpr int kMaxWorkPrefixElems = 65535;
+
+/**
+ * Write the WorkPrefix row of key @p key — one entry per plane, from
+ * planeWork() with the same GSAT geometry — to @p out[0 .. bits-1].
+ * Requires numPlanes() * numCols() <= kMaxWorkPrefixElems.
+ */
+void workPrefixRow(const BitPlaneSet &keys, int key, int subgroup,
+                   int muxes, WorkPrefix *out);
+
+/**
  * Numeric contribution of plane @p plane of key @p key to Q.K:
  * weight(plane) * sum_{bit=1} q. Word-parallel form: the query is
  * bit-plane-packed too, so the per-plane sum reduces to weighted

@@ -18,8 +18,12 @@ GuardFilter::GuardFilter(double alpha, double radius, double logit_scale)
     // full guard band (most conservative); smaller alpha raises the
     // threshold toward the max and prunes more aggressively, matching
     // the paper's Fig. 16(b) sweep direction.
-    margin_int_ = static_cast<int64_t>(
-        std::llround(alpha * radius / logit_scale));
+    // Saturate instead of letting llround overflow to a negative
+    // margin (and leave a NaN from 0 * inf at the top, never pruning).
+    const double margin = alpha * radius / logit_scale;
+    margin_int_ = margin < 0x1p63
+        ? static_cast<int64_t>(std::llround(margin))
+        : INT64_MAX;
 }
 
 } // namespace pade

@@ -13,19 +13,22 @@
  * tokens contribute < e^-5 relative mass at alpha = 1); it is converted
  * into the integer score domain through the dequantization scale.
  *
- * guardedKeyScore() is the per-key plane loop every QK kernel runs:
- * add a plane's contribution, fold the lower bound into the guard,
- * stop at the first plane whose upper bound falls below the threshold.
- * The guard step is force-inlined because it is also compiled inside
- * the ISA-specific translation units under core/simd/: an out-of-line
- * copy emitted there (a COMDAT symbol) could be the one the linker
- * keeps for baseline callers, and would then fault on CPUs without
- * that ISA.
+ * guardedKeyScore() is the per-plane loop of the kScalar, kPopcount
+ * and AVX2 kernels: add a plane's contribution, fold the lower bound
+ * into the guard, stop at the first plane whose upper bound falls
+ * below the threshold. The AVX-512BW tile kernel reaches the same
+ * state without the loop (all planes at once, then settle()). The
+ * guard step is force-inlined because it is also compiled inside
+ * the ISA-specific translation units under core/simd/: an
+ * out-of-line copy emitted there (a COMDAT symbol) could be the one
+ * the linker keeps for baseline callers, and would then fault on
+ * CPUs without that ISA.
  */
 
 #ifndef PADE_CORE_GUARD_FILTER_H
 #define PADE_CORE_GUARD_FILTER_H
 
+#include <algorithm>
 #include <cstdint>
 
 /** Inline even without optimization (see the file comment). */
@@ -45,7 +48,7 @@ class GuardFilter
      *
      * Out-of-range values abort in every build type: a negative
      * margin would read every threshold as -inf and silently turn
-     * pruning off.
+     * pruning off. A margin past INT64_MAX saturates to INT64_MAX.
      */
     GuardFilter(double alpha, double radius, double logit_scale);
 
@@ -60,15 +63,17 @@ class GuardFilter
         }
     }
 
-    /** Current integer-domain threshold; -inf until first observe. */
+    /**
+     * Current integer-domain threshold max(LB) - margin, saturated at
+     * INT64_MIN (the floor form cannot overflow: margin >= 0); -inf
+     * until the first observe.
+     */
     PADE_ALWAYS_INLINE int64_t
     threshold() const
     {
         if (!seen_)
             return INT64_MIN;
-        // Saturating subtraction to avoid wraparound at the sentinel.
-        const int64_t t = max_lb_ - margin_int_;
-        return t > max_lb_ ? INT64_MIN : t;
+        return std::max(max_lb_, INT64_MIN + margin_int_) - margin_int_;
     }
 
     /** True if a key with this upper bound should be pruned. */
@@ -82,6 +87,26 @@ class GuardFilter
     uint64_t updates() const { return updates_; }
 
     int64_t maxLowerBound() const { return max_lb_; }
+
+    /** True once any lower bound has been observed. */
+    bool seen() const { return seen_; }
+
+    /** Integer-domain margin alpha * radius / logit_scale, >= 0. */
+    int64_t margin() const { return margin_int_; }
+
+    /**
+     * Jump to the state a run of observe() calls leaves behind: row
+     * max @p max_lb, seen, and @p updates more threshold-raising
+     * updates. A kernel that scores a key's planes without the
+     * per-plane loop computes both and settles once per key.
+     */
+    PADE_ALWAYS_INLINE void
+    settle(int64_t max_lb, uint64_t updates)
+    {
+        max_lb_ = max_lb;
+        seen_ = true;
+        updates_ += updates;
+    }
 
   private:
     int64_t margin_int_;

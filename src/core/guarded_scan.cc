@@ -20,7 +20,8 @@ PruneStats::operator+=(const PruneStats &o)
 ScanPlan::ScanPlan(QkKernel kernel, int key_bits, int plane_stride,
                    bool guard_enabled)
     : bits(key_bits), stride(plane_stride), prune(guard_enabled),
-      key_kernel(kernel == QkKernel::kSimd ? simd::keyKernel() : nullptr)
+      tile_kernel(kernel == QkKernel::kSimd ? simd::tileKernel()
+                                            : nullptr)
 {
 }
 
@@ -40,6 +41,16 @@ ScanQuery::start(std::span<const int8_t> row, QkKernel kernel, int bits,
     keep_out = keep_row;
     retained.clear();
     scores.clear();
+}
+
+void
+ScanGroup::bind(std::span<ScanQuery> scan_rows, int max_keys)
+{
+    rows = scan_rows;
+    tile_rows.clear();
+    for (ScanQuery &sq : rows)
+        tile_rows.push_back(sq.tileRow());
+    out.resize(static_cast<std::size_t>(max_keys) * rows.size());
 }
 
 } // namespace pade

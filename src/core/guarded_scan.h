@@ -5,37 +5,42 @@
  * attention (padeAttention) and incremental serving (DecodeEngine)
  * both run.
  *
- * The unit of work is one (key, query row) pair. scanKey() scores the
- * key's planes MSB first, adds the BUI bounds, applies the guard inline
- * and stops at the first pruning plane, then books the outcome: the
- * planes-consumed trace, the keep mask, the retained list and the
- * PruneStats counters. Callers own the loop order — padeAttention
- * runs query rows outer and keys inner, DecodeEngine keys outer and
- * the query heads of a GQA group inner — and resolve the kernel once
- * per call through withQkKernel(), which instantiates their loop once
- * per kernel, so no kernel branch and no per-plane out-of-line call
- * sits inside it:
+ * The unit of work is one ISTA tile: up to tile_bc consecutive keys
+ * of one plane store, scored against every query row of a group (a
+ * GQA group; one row for padeAttention). scanTile() scores each (key,
+ * row) pair's planes MSB first, adds the BUI bounds, applies the
+ * row's guard, stops at the first pruning plane, and books the
+ * outcome: the planes-consumed trace, the keep mask, the retained
+ * list and the PruneStats counters. Callers own the tile walk
+ * (tileRun() cuts their scan order into tiles) and resolve the kernel
+ * once per call through withQkKernel(), which instantiates their loop
+ * once per kernel, so no kernel branch sits inside it:
  *
- *  - kScalar walks set key bits through planeDeltaScalar (the oracle);
- *  - kPopcount inlines QueryPlanes::maskedSum;
- *  - kSimd makes one call per pair into the CPU-selected per-key
- *    kernel (core/simd/qk_simd.h), which runs the same guard loop.
+ *  - kScalar walks set key bits through planeDeltaScalar (the oracle)
+ *    and kPopcount inlines QueryPlanes::maskedSum, both per plane
+ *    through guardedKeyScore, one (key, row) pair at a time;
+ *  - kSimd makes one call per tile into the CPU-selected tile kernel
+ *    (core/simd/qk_simd.h).
  *
- * A key is a pointer triple: its plane row (BitPlaneSet::rowPlanes),
- * the plane stride (ScanPlan::stride) and its PlaneWork row. A
- * contiguous BitPlaneSet with PadeWorkspace::plane_work and a KvCache
- * page both supply it.
+ * Booking is O(1) per pair: each key carries a WorkPrefix row (the
+ * running sums of its planes' work counts), and a pair reads the
+ * entry at its stop plane. A tile is a pointer pair: its first key's
+ * plane row (keys plan.bits * plan.stride words apart) and its first
+ * WorkPrefix row. A contiguous BitPlaneSet with
+ * PadeWorkspace::plane_work and a KvCache page both supply it.
  */
 
 #ifndef PADE_CORE_GUARDED_SCAN_H
 #define PADE_CORE_GUARDED_SCAN_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <type_traits>
 #include <vector>
 
+#include "common/check.h"
 #include "core/bit_serial.h"
 #include "core/bui.h"
 #include "core/guard_filter.h"
@@ -87,7 +92,7 @@ struct ScanPlan
 {
     /**
      * @param kernel resolved kernel (resolveQkKernel); kSimd fetches
-     *        the CPU's per-key kernel here, once
+     *        the CPU's tile kernel here, once
      * @param key_bits key planes per key
      * @param plane_stride words between a key's consecutive planes
      * @param guard_enabled PadeConfig::guard_enabled
@@ -98,7 +103,14 @@ struct ScanPlan
     int bits;
     int stride;
     bool prune;
-    simd::KeyKernel key_kernel; //!< kSimd's per-key kernel, else null
+    simd::TileKernel tile_kernel; //!< kSimd's tile kernel, else null
+
+    /** Words between the plane rows of consecutive keys. */
+    std::ptrdiff_t
+    keyStride() const
+    {
+        return static_cast<std::ptrdiff_t>(bits) * stride;
+    }
 };
 
 /**
@@ -129,6 +141,31 @@ struct ScanQuery
     uint8_t *keep_out = nullptr;   //!< 1 per retained key id
     std::vector<int> retained;     //!< retained key ids, scan order
     std::vector<int64_t> scores;   //!< their exact integer scores
+
+    /** The tile kernel's view of this row (valid while it lives). */
+    simd::TileRow
+    tileRow()
+    {
+        return {view, bui.lo.data(), bui.hi.data(), &guard};
+    }
+};
+
+/**
+ * The query rows one scan serves, plus what the tile kernel needs
+ * beside them: their TileRow views and the per-tile output scratch.
+ * Grow-only, like ScanQuery.
+ */
+struct ScanGroup
+{
+    /**
+     * Serve @p rows (already start()ed; they must stay put until the
+     * scan ends) in tiles of at most @p max_keys keys.
+     */
+    void bind(std::span<ScanQuery> rows, int max_keys);
+
+    std::span<ScanQuery> rows;
+    std::vector<simd::TileRow> tile_rows; //!< kSimd views of rows
+    std::vector<KeyScore> out;            //!< one tile's pair results
 };
 
 /** Compile-time kernel tag withQkKernel() hands its body. */
@@ -157,65 +194,108 @@ withQkKernel(QkKernel kernel, Body &&body)
 }
 
 /**
- * The per-key call: score the key whose planes start at @p kplanes
- * against query row @p sq through kernel K, with sq's guard applied
- * after every plane (and pruning when plan.prune).
+ * The per-plane kernels' call for one (key, row) pair: score the key
+ * whose planes start at @p kplanes against row @p sq through kScalar
+ * or kPopcount, with sq's guard applied after every plane (and
+ * pruning when plan.prune).
  */
 template <QkKernel K>
 inline KeyScore
 scoreKey(QkKernelTag<K>, const ScanPlan &plan, ScanQuery &sq,
          const uint64_t *kplanes)
 {
-    if constexpr (K == QkKernel::kSimd) {
-        const simd::KeyGuard guard{&sq.guard, sq.bui.lo.data(),
-                                   sq.bui.hi.data(), plan.prune};
-        return plan.key_kernel(sq.view, kplanes, plan.stride, plan.bits,
-                               plan.bits, &guard);
-    } else {
-        return guardedKeyScore(
-            sq.guard, sq.bui.lo.data(), sq.bui.hi.data(), plan.bits,
-            plan.prune, [&](int r) -> int64_t {
-                const int weight = r == 0 ? -(1 << (plan.bits - 1))
-                                          : 1 << (plan.bits - 1 - r);
-                const uint64_t *plane = kplanes +
-                    static_cast<std::ptrdiff_t>(r) * plan.stride;
-                if constexpr (K == QkKernel::kScalar)
-                    return planeDeltaScalar(sq.q, plane, weight);
-                else
-                    return static_cast<int64_t>(weight) *
-                        sq.qplanes.maskedSum(
-                            {plane, static_cast<std::size_t>(
-                                        sq.qplanes.wordsPerPlane())});
-            });
-    }
+    static_assert(K != QkKernel::kSimd, "kSimd scores whole tiles");
+    return guardedKeyScore(
+        sq.guard, sq.bui.lo.data(), sq.bui.hi.data(), plan.bits,
+        plan.prune, [&](int r) -> int64_t {
+            const int weight = r == 0 ? -(1 << (plan.bits - 1))
+                                      : 1 << (plan.bits - 1 - r);
+            const uint64_t *plane =
+                kplanes + static_cast<std::ptrdiff_t>(r) * plan.stride;
+            if constexpr (K == QkKernel::kScalar)
+                return planeDeltaScalar(sq.q, plane, weight);
+            else
+                return static_cast<int64_t>(weight) *
+                    sq.qplanes.maskedSum(
+                        {plane, static_cast<std::size_t>(
+                                    sq.qplanes.wordsPerPlane())});
+        });
 }
 
 /**
- * Score key @p j (planes at @p kplanes, work counts at @p work) for
- * the query row @p sq and book the outcome into @p sq and @p st. The
+ * Length of the tile that starts at @p order[@p i]: the run of
+ * consecutive key ids that follows in @p order, inside key
+ * order[i]'s ISTA tile of @p tile_bc keys and below @p end.
+ */
+inline int
+tileRun(std::span<const int> order, std::size_t i, int tile_bc, int end)
+{
+    const int j = order[i];
+    const int stop = std::min(end, (j / tile_bc + 1) * tile_bc);
+    int n = 1;
+    while (j + n < stop && i + static_cast<std::size_t>(n) < order.size() &&
+           order[i + static_cast<std::size_t>(n)] == j + n)
+        n++;
+    return n;
+}
+
+/**
+ * Score the tile of @p n consecutive keys whose first key has id
+ * @p j0, planes at @p kplanes and WorkPrefix row at @p work, for
+ * every row of @p group, and book each (key, row) outcome into the
+ * row and @p st. Each row sees the keys in order. The
  * threshold-update and softmax counters are the caller's, per row.
  */
 template <QkKernel K>
 inline void
-scanKey(QkKernelTag<K> k, const ScanPlan &plan, ScanQuery &sq,
-        const uint64_t *kplanes, const PlaneWork *work, int j,
-        PruneStats &st)
+scanTile(QkKernelTag<K> k, const ScanPlan &plan, ScanGroup &group,
+         const uint64_t *kplanes, const WorkPrefix *work, int j0, int n,
+         PruneStats &st)
 {
-    const KeyScore ks = scoreKey(k, plan, sq, kplanes);
-    st.keys_total++;
-    st.planes_total += static_cast<uint64_t>(plan.bits);
-    st.planes_processed += static_cast<uint64_t>(ks.planes);
-    for (int r = 0; r < ks.planes; r++) {
-        st.ops_bs += static_cast<uint64_t>(work[r].selected_bs);
-        st.ops_naive += static_cast<uint64_t>(work[r].selected_naive);
+    const std::size_t nrows = group.rows.size();
+    PADE_DCHECK(static_cast<std::size_t>(n) * nrows <= group.out.size());
+    if constexpr (K == QkKernel::kSimd)
+        plan.tile_kernel({kplanes, plan.keyStride(), plan.stride,
+                          plan.bits, plan.bits, n, plan.prune},
+                         group.tile_rows, group.out.data());
+    // Local sums: the byte stores below may alias anything, so
+    // counters kept in st would be reloaded after every one.
+    uint64_t planes = 0;
+    uint64_t ops_bs = 0;
+    uint64_t ops_naive = 0;
+    uint64_t kept = 0;
+    for (int i = 0; i < n; i++) {
+        const WorkPrefix *w =
+            work + static_cast<std::ptrdiff_t>(i) * plan.bits;
+        const int j = j0 + i;
+        for (std::size_t g = 0; g < nrows; g++) {
+            ScanQuery &sq = group.rows[g];
+            KeyScore ks;
+            if constexpr (K == QkKernel::kSimd)
+                ks = group.out[static_cast<std::size_t>(i) * nrows + g];
+            else
+                ks = scoreKey(k, plan, sq,
+                              kplanes + i * plan.keyStride());
+            const WorkPrefix done = w[ks.planes - 1];
+            planes += static_cast<uint64_t>(ks.planes);
+            ops_bs += done.bs;
+            ops_naive += done.naive;
+            sq.planes_out[j] = static_cast<uint8_t>(ks.planes);
+            if (!ks.pruned) {
+                sq.keep_out[j] = 1;
+                kept++;
+                sq.retained.push_back(j);
+                sq.scores.push_back(ks.score);
+            }
+        }
     }
-    sq.planes_out[j] = static_cast<uint8_t>(ks.planes);
-    if (!ks.pruned) {
-        sq.keep_out[j] = 1;
-        st.keys_retained++;
-        sq.retained.push_back(j);
-        sq.scores.push_back(ks.score);
-    }
+    const uint64_t pairs = static_cast<uint64_t>(n) * nrows;
+    st.keys_total += pairs;
+    st.planes_total += pairs * static_cast<uint64_t>(plan.bits);
+    st.planes_processed += planes;
+    st.ops_bs += ops_bs;
+    st.ops_naive += ops_naive;
+    st.keys_retained += kept;
 }
 
 } // namespace pade

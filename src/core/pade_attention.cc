@@ -78,6 +78,8 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
     PADE_CHECK_GE(cfg.subgroup, 1);
     PADE_CHECK_LE(cfg.subgroup, 64);
     PADE_CHECK_GE(cfg.muxes, 1);
+    // The 16-bit WorkPrefix running sums must not wrap.
+    PADE_CHECK_LE(bits * head.k_planes.numCols(), kMaxWorkPrefixElems);
     // Final kernel decision: config request + PADE_QK_KERNEL override
     // + capability clamp (kSimd degrades to kPopcount off-AVX2).
     const QkKernel kernel = resolveQkKernel(cfg.qk_kernel);
@@ -94,7 +96,7 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
     const std::vector<int> order = istaScanOrder(s, cfg.tile_bc,
                                                  cfg.head_tail);
 
-    // Per-(key, plane) work counts are query-independent: build the
+    // Per-(key, plane) work sums are query-independent: build the
     // whole table eagerly (one pass over the packed planes, parallel
     // across keys when the workspace carries a pool) so the per-query
     // loop below is a pure table lookup. A workspace that already
@@ -109,10 +111,9 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
     if (!table_cached) {
         ws.plane_work.resize(static_cast<size_t>(s) * bits);
         auto workRowFor = [&](int key) {
-            for (int r = 0; r < bits; r++)
-                ws.plane_work[static_cast<size_t>(key) * bits + r] =
-                    planeWork(head.k_planes, key, r, cfg.subgroup,
-                              cfg.muxes);
+            workPrefixRow(head.k_planes, key, cfg.subgroup, cfg.muxes,
+                          ws.plane_work.data() +
+                              static_cast<size_t>(key) * bits);
         };
         if (ws.pool && ws.pool->threadCount() > 1) {
             parallelFor(*ws.pool, s, workRowFor);
@@ -137,18 +138,26 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
         sq.start(head.q.values.row(i), kernel, bits,
                  GuardFilter(cfg.alpha, cfg.radius, head.logit_scale),
                  res.planes.row(i).data(), res.keep.row(i).data());
+        ws.group.bind({&sq, 1}, cfg.tile_bc);
         // Last visible key: causal queries occupy the last p positions
         // of the key sequence.
         const int last = cfg.causal ? s - p + i : s - 1;
         PruneStats st;
         withQkKernel(kernel, [&](auto k) {
-            for (int j : order)
-                if (j <= last)
-                    scanKey(k, plan, sq,
-                            head.k_planes.rowPlanes(j).data(),
-                            ws.plane_work.data() +
-                                static_cast<size_t>(j) * bits,
-                            j, st);
+            for (size_t o = 0; o < order.size();) {
+                const int j = order[o];
+                if (j > last) {
+                    o++;
+                    continue;
+                }
+                const int n = tileRun(order, o, cfg.tile_bc, last + 1);
+                scanTile(k, plan, ws.group,
+                         head.k_planes.rowPlanes(j).data(),
+                         ws.plane_work.data() +
+                             static_cast<size_t>(j) * bits,
+                         j, n, st);
+                o += static_cast<size_t>(n);
+            }
         });
         st.threshold_updates = sq.guard.updates();
         res.stats += st;

@@ -66,19 +66,20 @@ struct PadeConfig
 struct PadeWorkspace
 {
     /**
-     * Optional pool for the up-front (key, plane) PlaneWork table;
+     * Optional pool for the up-front (key, plane) WorkPrefix table;
      * the table is query-independent, embarrassingly parallel, and
      * computed eagerly once per head. Null computes it serially.
      */
     ThreadPool *pool = nullptr;
 
-    ScanQuery query;                 //!< current query row's scan
-    std::vector<PlaneWork> plane_work; //!< (key, plane) work table
-    std::vector<float> tile_scores; //!< ISTA tile logits
-    OnlineSoftmaxRow softmax{0};    //!< value-stage accumulator
+    ScanQuery query;                    //!< current query row's scan
+    ScanGroup group;                    //!< query as a group of one
+    std::vector<WorkPrefix> plane_work; //!< (key, plane) running sums
+    std::vector<float> tile_scores;     //!< ISTA tile logits
+    OnlineSoftmaxRow softmax{0};        //!< value-stage accumulator
 
     /**
-     * Cache key of the PlaneWork table currently in plane_work. The
+     * Cache key of the WorkPrefix table currently in plane_work. The
      * table depends only on (key planes, GSAT geometry), so a repeated
      * padeAttention call over the same BitPlaneSet — the GQA pattern,
      * where every query head of a group scores one shared KV-head
@@ -91,7 +92,7 @@ struct PadeWorkspace
     uint64_t plane_work_revision = 0;
     int plane_work_subgroup = 0;
     int plane_work_muxes = 0;
-    /** PlaneWork table (re)builds performed (reuse observability). */
+    /** WorkPrefix table (re)builds performed (reuse observability). */
     uint64_t plane_work_builds = 0;
 };
 
@@ -137,6 +138,10 @@ void istaScanOrderInto(int seq_len, int tile, bool head_tail,
  * Exactness contract: keys that survive all bit planes have exact
  * integer scores (the uncertainty interval collapses at the LSB), so
  * the output equals masked INT8 attention under the final keep mask.
+ *
+ * Requires bits * head_dim <= kMaxWorkPrefixElems (65535, so head_dim
+ * <= 8191 at 8 bits): the per-key WorkPrefix sums are 16-bit. This and
+ * the PadeConfig geometry are PADE_CHECKed once per call.
  *
  * @param ws optional reusable workspace (see PadeWorkspace); pass one
  *        per worker thread to make repeated calls allocation-free on

@@ -59,14 +59,14 @@ qkSimdAvailable()
     return available;
 }
 
-simd::KeyKernel
-simd::keyKernel()
+simd::TileKernel
+simd::tileKernel()
 {
-    static const KeyKernel kernel = [] {
+    static const TileKernel kernel = [] {
         const CpuFeatures &f = cpuFeatures();
         return qkAvx512Compiled() && f.avx512f && f.avx512bw && f.os_zmm
-            ? &scoreKeyAvx512
-            : &scoreKeyAvx2;
+            ? &scanTileAvx512
+            : &scanTileAvx2;
     }();
     return kernel;
 }

@@ -11,7 +11,7 @@
  *  - QkKernel::kPopcount — word-parallel weighted popcount over
  *    packed 64-bit words (baseline ISA + POPCNT).
  *  - QkKernel::kSimd — the widest SIMD backend the CPU and OS
- *    support (src/core/simd/qk_simd.h): the AVX-512BW per-key kernel
+ *    support (src/core/simd/qk_simd.h): the AVX-512BW tile kernel
  *    where CPUID reports AVX-512F/BW and XCR0 shows the ZMM state
  *    saved, the AVX2 one otherwise. It requires the backend to be
  *    compiled in (CMake option PADE_AVX2) *and* the executing CPU/OS
@@ -23,8 +23,8 @@
  * kPopcount). resolveQkKernel() applies the PADE_QK_KERNEL
  * environment override — "scalar" | "popcount" | "simd" | "auto" —
  * and downgrades an unavailable kSimd to kPopcount, so requesting
- * SIMD is always safe. A new ISA (NEON, say) is a new per-key kernel
- * behind kSimd, selected in simd::keyKernel().
+ * SIMD is always safe. A new ISA (NEON, say) is a new tile kernel
+ * behind kSimd, selected in simd::tileKernel().
  */
 
 #ifndef PADE_CORE_SIMD_QK_DISPATCH_H

@@ -1,40 +1,43 @@
 /**
  * @file
- * The SIMD QK backend behind QkKernel::kSimd: two per-key kernels, one
- * per ISA, each in its own translation unit, and the CPU-selected
- * choice between them.
+ * The SIMD backend behind QkKernel::kSimd: two tile kernels, one per
+ * ISA, each in its own translation unit, and the CPU-selected choice
+ * between them.
  *
- *  - scoreKeyAvx512 (qk_avx512.cc, -mavx512f -mavx512bw): at one word
- *    per plane (head_dim <= 64) a key plane word *is* a __mmask64.
- *    vmovdqu8 with that mask loads exactly the selected bytes of the
- *    query's byte mirror (QPlaneView::values), XOR 0x80 makes them
- *    unsigned, vpsadbw sums them, and the 128-per-byte bias is
- *    subtracted. Wider rows loop over words. The masked load never
- *    reads a query byte past cols (those mask bits are zero), and the
- *    reduction is 64-bit, so there is no row-length limit.
- *  - scoreKeyAvx2 (qk_avx2.cc, -mavx2), for CPUs without AVX-512BW,
- *    is value-domain too. Per key plane, 32 mask bits at a time are
- *    broadcast (vpbroadcastd), fanned out to a byte select (vpshufb +
- *    bit-test vpcmpeqb), ANDed with the query's byte mirror and
- *    accumulated pairwise into 16-bit lanes with vpmaddubsw: one pass
- *    over head_dim bytes per key plane, independent of the query's
- *    bit-width. The lanes are widened to 32 bits every 127 chunks
- *    (4064 elements), before they can wrap, so any row length is
- *    exact.
+ * A tile kernel scores one ISTA tile — up to tile_bc consecutive keys
+ * of one plane store — for every query row of a GQA group, with the
+ * BUI-GF guard applied per (key, row) pair in key order, and leaves
+ * each row's GuardFilter where the per-plane observe/shouldPrune
+ * sequence of guardedKeyScore (core/guard_filter.h) would: one call
+ * per tile, no call per key or plane. Target-specific code cannot
+ * inline into baseline code, which is why the loops live here and
+ * not in the caller.
  *
- * A per-key kernel runs the whole plane loop of one (key, query) pair
- * with the BUI-GF guard inline (guardedKeyScore, core/guard_filter.h)
- * and returns at the first pruning plane: one call per pair, no call
- * per plane. Target-specific code cannot inline into baseline code,
- * which is why the loop lives here and not in the caller.
+ *  - scanTileAvx512 (qk_avx512.cc, -mavx512f -mavx512bw) scores every
+ *    plane of every pair with no branch. A key plane word *is* a
+ *    __mmask64: a masked byte select of the query's biased bytes and
+ *    vpsadbw give one plane's sum per 64 elements, and a transpose of
+ *    the eight plane sums puts plane r in lane r. Weighted prefix
+ *    sums, the BUI bounds, the running maximum of the lower bounds
+ *    and the threshold are then lane-wise, and the stop plane is one
+ *    compare of the upper bounds against the threshold and a tzcnt.
+ *  - scanTileAvx2 (qk_avx2.cc, -mavx2), for CPUs without AVX-512BW,
+ *    loops its per-pair body through guardedKeyScore. Per key plane,
+ *    32 mask bits at a time are broadcast (vpbroadcastd), fanned out
+ *    to a byte select (vpshufb + bit-test vpcmpeqb), ANDed with the
+ *    query's byte mirror and accumulated pairwise into 16-bit lanes
+ *    with vpmaddubsw: one pass over head_dim bytes per key plane. The
+ *    lanes are widened to 32 bits every 127 chunks (4064 elements),
+ *    before they can wrap, so any row length is exact.
  *
  * Only these two files are built with wider ISA flags. Callers reach
- * them through keyKernel(), which picks AVX-512BW when it is compiled
- * in and the CPU and OS support it, AVX2 otherwise; kSimd itself is
- * only dispatched when qkSimdAvailable() (core/simd/qk_dispatch.h).
- * When a backend is not compiled (PADE_AVX2=OFF, or a compiler
- * without the flags) its file builds a portable fallback with the
- * same results and its *Compiled() predicate reports false.
+ * them through tileKernel(), which picks AVX-512BW when it is
+ * compiled in and the CPU and OS support it, AVX2 otherwise; kSimd
+ * itself is only dispatched when qkSimdAvailable()
+ * (core/simd/qk_dispatch.h). When a backend is not compiled
+ * (PADE_AVX2=OFF, or a compiler without the flags) its file builds a
+ * portable fallback with the same results and its *Compiled()
+ * predicate reports false.
  */
 
 #ifndef PADE_CORE_SIMD_QK_SIMD_H
@@ -42,6 +45,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "core/guard_filter.h"
 
@@ -68,36 +72,53 @@ struct QPlaneView
     int cols;               //!< logical row length in elements
 };
 
-/** The guard a per-key kernel applies; a null guard scores densely. */
-struct KeyGuard
+/** One query row of a tile scan: its query, BUI table and guard. */
+struct TileRow
 {
-    GuardFilter *filter; //!< the query row's guard, updated in place
-    const int64_t *lo;   //!< BUI I^{r,min} per plane (BuiTable::lo)
-    const int64_t *hi;   //!< BUI I^{r,max} per plane (BuiTable::hi)
-    bool prune;          //!< false: observe only (dense ablation)
+    QPlaneView q;
+    const int64_t *lo;  //!< BUI I^{r,min}, one per scored plane
+    const int64_t *hi;  //!< BUI I^{r,max}, one per scored plane
+    GuardFilter *guard; //!< the row's guard, updated in place
+};
+
+/** Planes a tile kernel scores per key at most (BuiTable::kMaxPlanes). */
+inline constexpr int kMaxTilePlanes = 8;
+
+/**
+ * One tile: @p keys keys whose planes sit at kplanes + i * key_stride
+ * (key i), plane p of a key at + p * plane_stride, with weight
+ * -2^{kbits-1} (p = 0) or 2^{kbits-1-p}. Planes 0 .. nplanes - 1 are
+ * scored (nplanes <= kbits <= kMaxTilePlanes). With prune clear the
+ * guard observes every plane and nothing stops early (the dense
+ * ablation, and partialDotSimd).
+ *
+ * Key plane rows may be caller memory of exactly ceil(cols / 64)
+ * words each: no kernel reads past a row's logical words.
+ */
+struct Tile
+{
+    const uint64_t *kplanes;
+    std::ptrdiff_t key_stride;
+    int plane_stride;
+    int kbits;
+    int nplanes;
+    int keys;
+    bool prune;
 };
 
 /**
- * Per-key kernel: score planes 0 .. @p nplanes - 1 of one key against
- * the query @p q. Plane p of the key starts at kplanes + p * kstride
- * and has weight -2^{kbits-1} (p = 0) or 2^{kbits-1-p}. With a guard,
- * runs guardedKeyScore() and may stop early; with @p guard null it
- * returns the plain partial dot over all nplanes planes.
- *
- * @p kplanes rows may be caller memory of exactly ceil(cols / 64)
- * words each: no kernel reads past a row's logical words.
+ * Tile kernel: score every (key, row) pair of @p tile against
+ * @p rows, each row's keys in order through its guard, and write
+ * pair (i, g) to @p out[i * rows.size() + g].
  */
-using KeyKernel = KeyScore (*)(const QPlaneView &q,
-                               const uint64_t *kplanes, int kstride,
-                               int kbits, int nplanes,
-                               const KeyGuard *guard);
+using TileKernel = void (*)(const Tile &tile,
+                            std::span<const TileRow> rows,
+                            KeyScore *out);
 
-KeyScore scoreKeyAvx2(const QPlaneView &q, const uint64_t *kplanes,
-                      int kstride, int kbits, int nplanes,
-                      const KeyGuard *guard);
-KeyScore scoreKeyAvx512(const QPlaneView &q, const uint64_t *kplanes,
-                        int kstride, int kbits, int nplanes,
-                        const KeyGuard *guard);
+void scanTileAvx2(const Tile &tile, std::span<const TileRow> rows,
+                  KeyScore *out);
+void scanTileAvx512(const Tile &tile, std::span<const TileRow> rows,
+                    KeyScore *out);
 
 /** True when this build carries real AVX2 code paths. */
 bool qkAvx2Compiled();
@@ -105,40 +126,46 @@ bool qkAvx2Compiled();
 bool qkAvx512Compiled();
 
 /**
- * The per-key kernel kSimd runs on this CPU: scoreKeyAvx512 when it
- * is compiled and the CPU reports AVX-512F and AVX-512BW with
- * OS-saved ZMM state, scoreKeyAvx2 otherwise. Cached after the first
- * call. Only meaningful when qkSimdAvailable().
+ * The tile kernel kSimd runs on this CPU: scanTileAvx512 when it is
+ * compiled and the CPU reports AVX-512F and AVX-512BW with OS-saved
+ * ZMM state, scanTileAvx2 otherwise. Cached after the first call.
+ * Only meaningful when qkSimdAvailable().
  */
-KeyKernel keyKernel();
+TileKernel tileKernel();
 
 /**
- * The body both per-key kernels share: plane weights, the guarded or
- * dense plane loop, and a register copy of the guard. @p sum(mask)
- * returns the query values selected by one key plane. Instantiated
+ * The tile loop of the per-plane kernels (AVX2 and the portable
+ * stub): rows outer, keys inner, each pair through guardedKeyScore
+ * with a register copy of the row's guard. @p sum(q, mask) returns
+ * the values of query @p q selected by one key plane. Instantiated
  * with a kernel-local lambda, so each ISA gets its own copy.
  */
 template <class PlaneSum>
-PADE_ALWAYS_INLINE KeyScore
-scoreKeyWith(const uint64_t *kplanes, int kstride, int kbits,
-             int nplanes, const KeyGuard *guard, PlaneSum &&sum)
+PADE_ALWAYS_INLINE void
+scanTileWith(const Tile &tile, std::span<const TileRow> rows,
+             KeyScore *out, PlaneSum &&sum)
 {
-    const auto delta = [&](int p) {
-        const int64_t w = p == 0 ? -(int64_t{1} << (kbits - 1))
-                                 : int64_t{1} << (kbits - 1 - p);
-        return w * sum(kplanes + static_cast<std::ptrdiff_t>(p) * kstride);
-    };
-    if (!guard) {
-        int64_t score = 0;
-        for (int p = 0; p < nplanes; p++)
-            score += delta(p);
-        return {score, nplanes, false};
+    const std::size_t nrows = rows.size();
+    for (std::size_t g = 0; g < nrows; g++) {
+        const TileRow &row = rows[g];
+        GuardFilter guard = *row.guard;
+        for (int i = 0; i < tile.keys; i++) {
+            const uint64_t *kp = tile.kplanes + i * tile.key_stride;
+            out[static_cast<std::size_t>(i) * nrows + g] =
+                guardedKeyScore(
+                    guard, row.lo, row.hi, tile.nplanes, tile.prune,
+                    [&](int p) {
+                        const int64_t w = p == 0
+                            ? -(int64_t{1} << (tile.kbits - 1))
+                            : int64_t{1} << (tile.kbits - 1 - p);
+                        return w *
+                            sum(row.q,
+                                kp + static_cast<std::ptrdiff_t>(p) *
+                                    tile.plane_stride);
+                    });
+        }
+        *row.guard = guard;
     }
-    GuardFilter g = *guard->filter;
-    const KeyScore ks = guardedKeyScore(g, guard->lo, guard->hi,
-                                        nplanes, guard->prune, delta);
-    *guard->filter = g;
-    return ks;
 }
 
 } // namespace simd

@@ -314,10 +314,18 @@ partialDotSimd(const QueryPlanes &q, const BitPlaneSet &keys, int row,
     PADE_DCHECK(r >= 0 && r < keys.numPlanes());
     if (!qkSimdAvailable())
         return partialDot(q, keys, row, r);
-    return simd::keyKernel()(q.simdView(), keys.rowPlanes(row).data(),
-                             keys.planeStride(), keys.numPlanes(), r + 1,
-                             nullptr)
-        .score;
+    // A dense tile of one key and one row: nothing prunes, so the
+    // scratch guard and zero bounds only pass through.
+    static constexpr int64_t kNoBounds[simd::kMaxTilePlanes] = {};
+    GuardFilter guard(1.0, 0.0, 1.0);
+    const simd::TileRow tile_row{q.simdView(), kNoBounds, kNoBounds,
+                                 &guard};
+    const simd::Tile tile{keys.rowPlanes(row).data(), 0,
+                          keys.planeStride(), keys.numPlanes(), r + 1,
+                          1, false};
+    KeyScore out;
+    simd::tileKernel()(tile, {&tile_row, 1}, &out);
+    return out.score;
 }
 
 int64_t

@@ -113,7 +113,7 @@ class BitPlaneSet
     /**
      * All @c numPlanes() planes of @p row as one contiguous block:
      * plane r starts at offset r * planeStride(). This is the key
-     * view the guarded scan and the per-key SIMD kernels consume;
+     * view the guarded scan and the SIMD tile kernels consume;
      * the alignment/zero-padding contract of plane() applies to
      * every row in the block.
      */
@@ -312,7 +312,7 @@ class QueryPlanes
      * plane reconstruction sum_t planeWeight(t) * bit(t, col) — kept
      * 32-byte aligned and zero-padded to a 32-byte boundary. Built
      * lazily by simdView() (mutable: a deferred cache of const
-     * state): both per-key SIMD kernels compute maskedSum directly
+     * state): both SIMD tile kernels compute maskedSum directly
      * in the value domain (select bytes by mask and sum them),
      * touching one byte per element instead of one plane bit per
      * (plane, element). Never built when no
@@ -343,8 +343,8 @@ int64_t partialDotScalar(std::span<const int8_t> q,
                          const BitPlaneSet &keys, int row, int r);
 
 /**
- * partialDot through the QkKernel::kSimd per-key kernel with the guard
- * off (AVX-512BW or AVX2, see core/simd/qk_simd.h); bit-identical to
+ * partialDot through the QkKernel::kSimd tile kernel with pruning off
+ * (AVX-512BW or AVX2, see core/simd/qk_simd.h); bit-identical to
  * partialDot()/partialDotScalar(), falls back to the popcount kernel
  * when no SIMD backend is available.
  */
@@ -363,7 +363,7 @@ int64_t exactDot(const QueryPlanes &q, const BitPlaneSet &keys,
 int64_t exactDotScalar(std::span<const int8_t> q, const BitPlaneSet &keys,
                        int row);
 
-/** exactDot through the kSimd per-key kernel (see partialDotSimd). */
+/** exactDot through the kSimd tile kernel (see partialDotSimd). */
 int64_t exactDotSimd(const QueryPlanes &q, const BitPlaneSet &keys,
                      int row);
 

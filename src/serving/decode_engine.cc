@@ -101,9 +101,9 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
         PADE_CHECK_EQ(static_cast<int>(q.size()), h);
     for (const auto &o : outs_)
         PADE_CHECK_EQ(static_cast<int>(o.size()), h);
-    // The cached PlaneWork entries were computed with the cache's GSAT
-    // geometry; the stats are only comparable to padeAttention when
-    // the algorithm config agrees.
+    // The cached WorkPrefix entries were computed with the cache's
+    // GSAT geometry; the stats are only comparable to padeAttention
+    // when the algorithm config agrees.
     PADE_CHECK_EQ(cfg_.subgroup, kc.subgroup);
     PADE_CHECK_EQ(cfg_.muxes, kc.muxes);
 
@@ -117,8 +117,10 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
                                        : m.dispatch_popcount)
         .add(1);
 
-    if (static_cast<int>(heads_.size()) < g)
+    if (static_cast<int>(heads_.size()) < g) {
         heads_.resize(static_cast<std::size_t>(g));
+        scans_.resize(static_cast<std::size_t>(g));
+    }
     group_ = g;
 
     const bool windowed = retention_.enabled();
@@ -176,55 +178,55 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
                 order_.begin(), order_.end());
     }
 
-    // Stage per-head query state once per step; the key loop below
+    // Stage per-head query state once per step; the tile loop below
     // only reads it.
     for (int gi = 0; gi < g; gi++) {
         HeadState &hs = heads_[static_cast<std::size_t>(gi)];
-        hs.scan.start(qs_[static_cast<std::size_t>(gi)], kernel, bits,
-                      GuardFilter(cfg_.alpha, cfg_.radius, logit_scale),
-                      hs.planes.data(), hs.keep.data());
+        scans_[static_cast<std::size_t>(gi)].start(
+            qs_[static_cast<std::size_t>(gi)], kernel, bits,
+            GuardFilter(cfg_.alpha, cfg_.radius, logit_scale),
+            hs.planes.data(), hs.keep.data());
     }
+    group_scan_.bind(std::span(scans_).first(static_cast<std::size_t>(g)),
+                     cfg_.tile_bc);
 
-    // The guarded scan, key-outer / query-head-inner: the (page, row)
-    // mapping, the packed plane row and the cached PlaneWork entries
-    // are KV-head state — resolved once per key (the page once per
-    // run of consecutive keys on it; ISTA tiles are such runs) and
-    // reused by every query head of the group. Skips (causal,
-    // evicted) happen before any stats, exactly like padeAttention's
-    // causal skip; the retention window needs no skip here because a
-    // windowed order_ already excludes dead-middle keys.
+    // The guarded scan, one ISTA tile at a time for the whole group:
+    // a tile is the run of consecutive keys of order_ inside one
+    // tile_bc tile, on one live page and at or before qpos, so its
+    // plane rows and WorkPrefix rows are contiguous on the page. The
+    // page is looked up once per tile and shared by every query head
+    // of the group. Skips (causal, evicted) happen before any stats,
+    // exactly like padeAttention's causal skip; the retention window
+    // needs no skip here because a windowed order_ already excludes
+    // dead-middle keys.
     DecodeStep res;
     PruneStats st;
     const ScanPlan plan(kernel, bits, planeStrideWords((h + 63) / 64),
                         cfg_.guard_enabled);
     withQkKernel(kernel, [&](auto k) {
-        int cur_page = -1;
-        const BitPlaneSet *page_planes = nullptr;
-        const PlaneWork *page_work = nullptr;
-        for (int j : order_) {
-            if (j > qpos)
-                continue; // causal / not yet prefilled
-            const int page = cache.pageOf(j);
-            if (page != cur_page) {
-                if (!cache.pageLive(page))
-                    continue; // front-dropped or middle-reclaimed
-                cur_page = page;
-                page_planes = &cache.pagePlanes(page);
-                page_work = cache.pageWork(page).data();
+        const int page_tokens = kc.page_tokens;
+        for (std::size_t o = 0; o < order_.size();) {
+            const int j = order_[o];
+            const int page = j <= qpos ? cache.pageOf(j) : -1;
+            if (page < 0 || !cache.pageLive(page)) {
+                o++; // causal / not yet prefilled, or evicted
+                continue;
             }
+            const int n = tileRun(order_, o, cfg_.tile_bc,
+                                  std::min(qpos + 1,
+                                           (page + 1) * page_tokens));
             const int local = cache.rowOf(j);
-            const uint64_t *kplanes =
-                page_planes->rowPlanes(local).data();
-            const PlaneWork *work =
-                page_work + static_cast<std::size_t>(local) * bits;
-            res.keys++;
-            for (int gi = 0; gi < g; gi++)
-                scanKey(k, plan, heads_[static_cast<std::size_t>(gi)].scan,
-                        kplanes, work, j, st);
+            scanTile(k, plan, group_scan_,
+                     cache.pagePlanes(page).rowPlanes(local).data(),
+                     cache.pageWork(page).data() +
+                         static_cast<std::size_t>(local) * bits,
+                     j, n, st);
+            res.keys += n;
+            o += static_cast<std::size_t>(n);
         }
     });
     for (int gi = 0; gi < g; gi++) {
-        const ScanQuery &sq = heads_[static_cast<std::size_t>(gi)].scan;
+        const ScanQuery &sq = scans_[static_cast<std::size_t>(gi)];
         st.threshold_updates += sq.guard.updates();
         res.retained += static_cast<int>(sq.retained.size());
     }
@@ -248,7 +250,7 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     // it without allocation.
     tile_scores_.resize(static_cast<std::size_t>(cfg_.tile_bc));
     for (int gi = 0; gi < g; gi++) {
-        const ScanQuery &sq = heads_[static_cast<std::size_t>(gi)].scan;
+        const ScanQuery &sq = scans_[static_cast<std::size_t>(gi)];
         softmax_.reset(h);
         for (std::size_t base = 0; base < sq.retained.size();
              base += static_cast<std::size_t>(cfg_.tile_bc)) {

@@ -15,11 +15,12 @@
  *
  *  - stepGroup(): a block of heads/kv_heads grouped query rows (one
  *    row for plain multi-head decode) attends over every token of the
- *    ONE shared cache of their KV head. The scan is
- *    key-outer / query-head-inner, so the per-key page lookup, packed
- *    plane row, and cached PlaneWork entries are fetched once and
- *    reused across the whole group — the per-token plane table is a
- *    KV-head property, never re-derived per query head;
+ *    ONE shared cache of their KV head. The scan runs one ISTA tile
+ *    (the consecutive keys of one tile on one live page) at a time
+ *    for the whole group, so the page lookup, packed plane rows and
+ *    cached WorkPrefix rows are fetched once per tile and shared by
+ *    every query head — the per-token plane table is a KV-head
+ *    property, never re-derived per query head;
  *  - prefillGroup(): the grouped rows are *prompt* positions. The key
  *    scan runs over the ISTA order of the FULL prompt length with a
  *    causal skip at the query position, so chunk-by-chunk prefill
@@ -87,7 +88,7 @@ namespace pade {
  * tokens — in practice, when sink_tokens == 0 (pure sliding window)
  * or the stream is short. With sinks pinned in page 0, the policy
  * still skips the dead middle's *scoring* — the plane deltas, guard
- * checks, and PlaneWork accounting that dominate per-token cost.
+ * checks, and work accounting that dominate per-token cost.
  *
  * Iteration is windowed too: when the policy is active, each step
  * generates only the live subsequence of the ISTA scan order
@@ -215,7 +216,8 @@ class DecodeEngine
     std::span<const int>
     lastRetained(int g = 0) const
     {
-        return headRef(g).scan.retained;
+        PADE_DCHECK(g >= 0 && g < group_);
+        return scans_[static_cast<std::size_t>(g)].retained;
     }
     /** Planes consumed per token by head @p g last step: value r
      *  means planes 0..r-1 were consumed before retention/pruning;
@@ -238,7 +240,6 @@ class DecodeEngine
     /** Per-query-head scratch, persistent across steps (grow-only). */
     struct HeadState
     {
-        ScanQuery scan;
         std::vector<uint8_t> planes;
         std::vector<uint8_t> keep;
         /** Positions the last windowed step may have written into
@@ -273,6 +274,8 @@ class DecodeEngine
     std::vector<std::span<const int8_t>> qs_;
     std::vector<std::span<float>> outs_;
     std::vector<HeadState> heads_;
+    std::vector<ScanQuery> scans_; //!< per query head, contiguous
+    ScanGroup group_scan_;         //!< scans_ as one tile-scan group
     OnlineSoftmaxRow softmax_{0};
     std::vector<int> order_;
     std::vector<float> tile_scores_;

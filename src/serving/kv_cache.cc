@@ -56,7 +56,7 @@ kvPageBytes(const KvPage &page)
         (static_cast<std::size_t>(page.planes.numPlanes()) *
              page.planes.planeStride() * sizeof(uint64_t) +
          static_cast<std::size_t>(page.cfg.head_dim) * sizeof(float) +
-         static_cast<std::size_t>(page.cfg.bits) * sizeof(PlaneWork));
+         static_cast<std::size_t>(page.cfg.bits) * sizeof(WorkPrefix));
 }
 
 KvCache::KvCache(const KvCacheConfig &cfg) : cfg_(cfg)
@@ -65,10 +65,12 @@ KvCache::KvCache(const KvCacheConfig &cfg) : cfg_(cfg)
     PADE_CHECK_GT(cfg_.page_tokens, 0);
     PADE_CHECK_GE(cfg_.bits, 2);
     PADE_CHECK_LE(cfg_.bits, 8);
-    // appendToken's planeWork geometry (see padeAttention).
+    // appendToken's planeWork geometry (see padeAttention), and the
+    // 16-bit WorkPrefix running sums must not wrap.
     PADE_CHECK_GE(cfg_.subgroup, 1);
     PADE_CHECK_LE(cfg_.subgroup, 64);
     PADE_CHECK_GE(cfg_.muxes, 1);
+    PADE_CHECK_LE(cfg_.head_dim * cfg_.bits, kMaxWorkPrefixElems);
 }
 
 void
@@ -100,11 +102,14 @@ KvCache::appendToken(std::span<const int8_t> k_row,
     for (int d = 0; d < cfg_.head_dim; d++)
         vout[d] = cfg_.v_scale * v_row[d];
 
-    // PlaneWork is query-independent: computing it here amortizes the
-    // per-call table rebuild padeAttention pays, once per token.
-    for (int r = 0; r < cfg_.bits; r++)
-        page.work.push_back(planeWork(page.planes, row, r,
-                                      cfg_.subgroup, cfg_.muxes));
+    // The work sums are query-independent: computing them here
+    // amortizes the per-call table rebuild padeAttention pays, once
+    // per token. work holds page_tokens * bits reserved entries, so
+    // growing it never moves a row a reader holds.
+    page.work.resize(page.work.size() + static_cast<std::size_t>(cfg_.bits));
+    workPrefixRow(page.planes, row, cfg_.subgroup, cfg_.muxes,
+                  page.work.data() + static_cast<std::size_t>(row) *
+                      cfg_.bits);
     tokens_++;
 }
 
@@ -114,7 +119,7 @@ KvCache::adoptSharedPage(std::shared_ptr<const KvPage> page)
     PADE_CHECK(page != nullptr);
     // Adoption is only legal at a page boundary (no partial private
     // tail to splice around) and for a bit-compatible page: the
-    // packed planes, dequantized values, and PlaneWork entries were
+    // packed planes, dequantized values, and WorkPrefix entries were
     // all derived under the producer's config, so every field must
     // match for the alias to be numerically transparent.
     PADE_CHECK_EQ(tokens_ % cfg_.page_tokens, 0);

@@ -16,9 +16,11 @@
  *    plane rows with zero padding — holds page by page);
  *  - values live as dequantized float rows (the exact
  *    `scale * int8` floats `padeAttention`'s value stage consumes);
- *  - the query-independent per-(token, plane) `PlaneWork` accounting
- *    is computed once at append time instead of once per decode step
- *    — amortizing what `padeAttention` rebuilds per call.
+ *  - the query-independent per-(token, plane) work accounting — the
+ *    `WorkPrefix` running sums of `PlaneWork`'s selected-element
+ *    counts, 4 bytes per plane — is computed once at append time
+ *    instead of once per decode step, amortizing what
+ *    `padeAttention` rebuilds per call.
  *
  * Pages are fixed at `page_tokens` rows and reserved up front
  * (`AlignedAllocator` storage), so an append never moves previously
@@ -36,7 +38,7 @@
  * prompt prefix that ends mid-page diverges by *copying*: the adopter
  * re-appends the partial page's tokens privately — that private tail
  * is the copy-on-write fork point. Shared pages carry their cached
- * PlaneWork table with them, so the scoring-side work of a hot prefix
+ * WorkPrefix table with them, so the scoring-side work of a hot prefix
  * is computed once for every reader. The last owner (cache or
  * PrefixIndex entry) to let go frees the page — refcounts are the
  * shared_ptr's, so a page can never be freed under a live reader.
@@ -90,11 +92,13 @@ namespace pade {
 /** Geometry and quantization parameters fixed at cache creation. */
 struct KvCacheConfig
 {
+    /** Key/value row width; bits * head_dim must not exceed
+     *  kMaxWorkPrefixElems (65535), so head_dim <= 8191 at 8 bits. */
     int head_dim = 128;
     int bits = 8;          //!< key bit-plane width (2..8)
     int page_tokens = 256; //!< tokens per page (fixed capacity)
     /**
-     * GSAT sub-group geometry baked into the cached PlaneWork
+     * GSAT sub-group geometry baked into the cached WorkPrefix
      * entries; must match the PadeConfig the decode engine runs with
      * (asserted there).
      */
@@ -106,7 +110,7 @@ struct KvCacheConfig
 
 /**
  * One fixed-capacity KV page: packed key planes, dequantized value
- * rows, and the per-(row, plane) PlaneWork table. Pages record the
+ * rows, and the per-(row, plane) WorkPrefix table. Pages record the
  * geometry they were built with so adoption into another cache can
  * verify compatibility — sharing a page whose quantization scale or
  * GSAT geometry differs would be a silent numerical divergence, so
@@ -119,7 +123,7 @@ struct KvPage
     KvCacheConfig cfg;           //!< geometry fingerprint at creation
     BitPlaneSet planes;          //!< keys, page-local rows
     MatrixF values;              //!< dequantized V rows
-    std::vector<PlaneWork> work; //!< used * bits entries
+    std::vector<WorkPrefix> work; //!< used * bits entries
 
     /** Rows appended so far; full() pages are immutable. */
     int used() const { return planes.numRows(); }
@@ -213,7 +217,7 @@ class KvCache
     /**
      * Append one token: pack the key row's bit planes into the tail
      * page (opening a new page when full), dequantize the value row,
-     * and precompute the per-plane PlaneWork. O(bits * head_dim).
+     * and precompute its WorkPrefix row. O(bits * head_dim).
      */
     void appendToken(std::span<const int8_t> k_row,
                      std::span<const int8_t> v_row);
@@ -226,7 +230,7 @@ class KvCache
      * mismatched adoption would silently corrupt decode outputs).
      * The page is aliased, not copied: readers of this cache and of
      * every other adopter observe the producer's packed planes,
-     * dequantized values, and cached PlaneWork.
+     * dequantized values, and cached WorkPrefix rows.
      */
     void adoptSharedPage(std::shared_ptr<const KvPage> page);
 
@@ -252,8 +256,8 @@ class KvCache
         return livePage(pageOf(token)).values.row(rowOf(token));
     }
 
-    /** Cached PlaneWork of (token, plane). */
-    const PlaneWork &
+    /** Cached WorkPrefix of (token, plane): sums over planes 0..plane. */
+    const WorkPrefix &
     work(int token, int plane) const
     {
         PADE_DCHECK(plane >= 0 && plane < cfg_.bits);
@@ -264,12 +268,11 @@ class KvCache
     }
 
     /**
-     * All cached PlaneWork of page @p page: row r's planes start at
-     * offset r * bits. The decode scan fetches this once per key
-     * (alongside pagePlanes) instead of re-deriving (page, row) per
-     * plane.
+     * All cached WorkPrefix rows of page @p page: row r's planes start
+     * at offset r * bits. The decode scan fetches this once per page
+     * (alongside pagePlanes) and reads one entry per (key, row).
      */
-    std::span<const PlaneWork>
+    std::span<const WorkPrefix>
     pageWork(int page) const
     {
         return livePage(page).work;

@@ -45,6 +45,32 @@ TEST(Accelerator, MetricsSanity)
     EXPECT_GT(m.gopsPerW(), 0.0);
 }
 
+TEST(AcceleratorDeathTest, InvalidGsatGeometryAbortsInEveryBuild)
+{
+    // A subgroup outside [1, 64] or zero muxes used to die with
+    // SIGFPE or hang in the simulated QK-PU's planeWork loop in
+    // Release builds, where its assert is compiled out. PADE_CHECKs
+    // refuse them once per call.
+    const QuantizedHead qh = head(256, 64, 20, 2);
+    const auto run = [&qh](auto edit) {
+        ArchConfig cfg;
+        edit(cfg);
+        return PadeAccelerator(cfg).runHead(qh);
+    };
+    EXPECT_DEATH(run([](ArchConfig &c) { c.subgroup = 0; }),
+                 "PADE_CHECK.*subgroup");
+    EXPECT_DEATH(run([](ArchConfig &c) { c.subgroup = 65; }),
+                 "PADE_CHECK.*subgroup");
+    EXPECT_DEATH(run([](ArchConfig &c) { c.muxes = 0; }),
+                 "PADE_CHECK.*muxes");
+    // The boundary values themselves are valid.
+    const RunMetrics edge = run([](ArchConfig &c) {
+        c.subgroup = 64;
+        c.muxes = 1;
+    });
+    EXPECT_GT(edge.cycles, 0.0);
+}
+
 TEST(Accelerator, GuardReducesWorkAndTraffic)
 {
     ArchConfig dense;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "arch/pade_accelerator.h"
 #include "attention/metrics.h"
@@ -25,6 +26,17 @@ struct SweepParam
     int head_dim;
     int bits;
 };
+
+/**
+ * Names a case in test IDs, which carry the printed GetParam() (CTest
+ * lists ".../seq512_hd128_b8"). Without it gtest prints the struct's
+ * raw bytes, padding included, so the IDs differ between builds.
+ */
+void
+PrintTo(const SweepParam &p, std::ostream *os)
+{
+    *os << "seq" << p.seq << "_hd" << p.head_dim << "_b" << p.bits;
+}
 
 class PipelineSweep : public ::testing::TestWithParam<SweepParam>
 {

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/pade_attention.h"
@@ -75,12 +76,16 @@ smallSpec(int heads, int kv_heads, int head_dim, int bits, int prompt,
  * against its OWN private copy of its KV head's stream as a group of
  * one, and the grouped layer execution must reproduce it bit for bit
  * — outputs, keep masks, plane traces, retained lists, and summed
- * statistics.
+ * statistics. The private engines run @p oracle_kernel (default: the
+ * layer's kernel) under the same @p retention window, evicting after
+ * every step as the layer does.
  */
 void
 expectGqaMatchesPrivateCaches(int heads, int kv_heads, QkKernel kernel,
                               int bits, int head_dim, int page_tokens,
-                              int pool_threads)
+                              int pool_threads,
+                              RetentionPolicy retention = {},
+                              std::optional<QkKernel> oracle_kernel = {})
 {
     const int prompt = 43;
     const int steps = 3;
@@ -96,6 +101,7 @@ expectGqaMatchesPrivateCaches(int heads, int kv_heads, QkKernel kernel,
     lc.bits = bits;
     lc.page_tokens = page_tokens;
     lc.pade.qk_kernel = kernel;
+    lc.retention = retention;
 
     std::vector<float> v_scales;
     std::vector<float> logit_scales;
@@ -104,6 +110,8 @@ expectGqaMatchesPrivateCaches(int heads, int kv_heads, QkKernel kernel,
         logit_scales.push_back(g.logit_scale);
     }
     LayerEngine layer(lc, v_scales);
+    PadeConfig oracle_cfg = lc.pade;
+    oracle_cfg.qk_kernel = oracle_kernel.value_or(kernel);
 
     // Oracle state: a private cache + engine per QUERY head, fed the
     // same KV stream as the head's group.
@@ -116,7 +124,7 @@ expectGqaMatchesPrivateCaches(int heads, int kv_heads, QkKernel kernel,
         kc.page_tokens = page_tokens;
         kc.v_scale = v_scales[static_cast<std::size_t>(h / group)];
         priv_caches.emplace_back(kc);
-        priv_engines.emplace_back(lc.pade);
+        priv_engines.emplace_back(oracle_cfg, retention);
     }
 
     ThreadPool pool(pool_threads);
@@ -147,7 +155,10 @@ expectGqaMatchesPrivateCaches(int heads, int kv_heads, QkKernel kernel,
         lw.stageQueries(pos, q_stage);
         const LayerStep st =
             layer.decode(q_stage, logit_scales, out, pool_arg);
-        EXPECT_EQ(st.keys, pos + 1);
+        int live = 0;
+        for (int j = 0; j <= pos; j++)
+            live += !retention.enabled() || retention.keeps(j, pos + 1);
+        EXPECT_EQ(st.keys, live);
 
         int retained_sum = 0;
         for (int h = 0; h < heads; h++) {
@@ -175,6 +186,13 @@ expectGqaMatchesPrivateCaches(int heads, int kv_heads, QkKernel kernel,
             for (std::size_t j = 0; j < gk.size(); j++) {
                 EXPECT_EQ(gk[j], pk[j]) << "keep " << j;
                 EXPECT_EQ(gp[j], pp[j]) << "planes " << j;
+                // Exactly the live keys were scanned (at least one
+                // plane each), whichever way the tiles were cut.
+                const int tok = static_cast<int>(j);
+                const bool scanned = tok <= pos &&
+                    (!retention.enabled() ||
+                     retention.keeps(tok, pos + 1));
+                EXPECT_EQ(gp[j] > 0, scanned) << "planes " << j;
             }
             auto gr = ge.lastRetained(g);
             auto pr = pe.lastRetained();
@@ -183,6 +201,10 @@ expectGqaMatchesPrivateCaches(int heads, int kv_heads, QkKernel kernel,
                 EXPECT_EQ(gr[j], pr[j]);
         }
         EXPECT_EQ(st.retained, retained_sum);
+        layer.evict();
+        for (int h = 0; h < heads; h++)
+            priv_engines[static_cast<std::size_t>(h)].applyRetention(
+                priv_caches[static_cast<std::size_t>(h)]);
     }
 
     PruneStats priv_sum;
@@ -216,6 +238,29 @@ TEST(LayerEngine, GqaParityOddHeadDimAndInt4)
         expectGqaMatchesPrivateCaches(4, 1, k, 4, 65, 10, 1);
         expectGqaMatchesPrivateCaches(4, 2, k, 4, 97, 16, 1);
     }
+    // page_tokens 24 against tile_bc 16: the grouped kSimd scan splits
+    // tile [16, 32) at key 24 into two tile calls; private-cache
+    // kScalar engines (the per-plane oracle kernel) check it.
+    expectGqaMatchesPrivateCaches(4, 1, QkKernel::kSimd, 8, 64, 24, 1,
+                                  {}, QkKernel::kScalar);
+    expectGqaMatchesPrivateCaches(4, 2, QkKernel::kSimd, 4, 65, 24, 1,
+                                  {}, QkKernel::kScalar);
+}
+
+TEST(LayerEngine, GqaTilesCutBySinkAndRecencyWindow)
+{
+    // The tile walk cuts an ISTA tile wherever its keys stop being
+    // consecutive, live and causal; the grouped scans are checked
+    // against private-cache kScalar engines.
+    // Sinks [0, 5) cut tile [0, 16); the recency window's start
+    // (key 23..25 over the steps) and the page boundary at 24 both
+    // cut tile [16, 32).
+    RetentionPolicy window;
+    window.sink_tokens = 5;
+    window.recency_tokens = 21;
+    for (QkKernel k : {QkKernel::kSimd, QkKernel::kPopcount})
+        expectGqaMatchesPrivateCaches(4, 1, k, 8, 64, 24, 1, window,
+                                      QkKernel::kScalar);
 }
 
 TEST(LayerEngine, GqaParityWithThreadPoolFanOut)
@@ -238,7 +283,8 @@ TEST(LayerEngine, GqaParityWithThreadPoolFanOut)
  */
 void
 expectPrefillMatchesWholePrompt(int chunk, QkKernel kernel, int bits,
-                                int head_dim)
+                                int head_dim, int page_tokens = 16,
+                                std::optional<QkKernel> oracle_kernel = {})
 {
     const int heads = 4;
     const int kv_heads = 2;
@@ -253,7 +299,7 @@ expectPrefillMatchesWholePrompt(int chunk, QkKernel kernel, int bits,
     lc.kv_heads = kv_heads;
     lc.head_dim = head_dim;
     lc.bits = bits;
-    lc.page_tokens = 16;
+    lc.page_tokens = page_tokens;
     lc.pade.qk_kernel = kernel;
 
     std::vector<float> v_scales;
@@ -315,6 +361,7 @@ expectPrefillMatchesWholePrompt(int chunk, QkKernel kernel, int bits,
         1.0f / std::sqrt(static_cast<float>(head_dim));
     PadeConfig ref_cfg = lc.pade;
     ref_cfg.causal = true;
+    ref_cfg.qk_kernel = oracle_kernel.value_or(kernel);
     std::vector<PruneStats> group_ref(
         static_cast<std::size_t>(kv_heads));
     for (int h = 0; h < heads; h++) {
@@ -379,6 +426,21 @@ TEST(ChunkedPrefill, BitIdenticalForAllKernelsAndInt4)
          {QkKernel::kScalar, QkKernel::kPopcount, QkKernel::kSimd})
         expectPrefillMatchesWholePrompt(16, k, 8, 64);
     expectPrefillMatchesWholePrompt(16, QkKernel::kSimd, 4, 65);
+}
+
+TEST(ChunkedPrefill, TilesCutByCausalEdgeAndPageBoundary)
+{
+    // Every scored position cuts its own tile at the causal edge
+    // (qpos + 1); chunks of 7 also leave tiles half appended, and
+    // page_tokens 24 splits tile [16, 32). The whole-prompt
+    // reference is kScalar padeAttention: it cuts its tiles only at
+    // the causal edge, and its per-plane scan's result does not
+    // depend on where a tile is cut.
+    for (int chunk : {7, 52})
+        expectPrefillMatchesWholePrompt(chunk, QkKernel::kSimd, 8, 64, 24,
+                                        QkKernel::kScalar);
+    expectPrefillMatchesWholePrompt(7, QkKernel::kSimd, 4, 65, 24,
+                                    QkKernel::kScalar);
 }
 
 // ---------------------------------------------------------------------

@@ -93,6 +93,37 @@ TEST(PadeAttentionDeathTest, InvalidConfigAbortsInEveryBuild)
         c.muxes = 1;
     });
     EXPECT_EQ(edge.out.rows(), 2);
+
+    // The 16-bit WorkPrefix running sums cap bits * head_dim at
+    // kMaxWorkPrefixElems (65535): an 8-bit head_dim of 8192 is one
+    // element past it. At the cap (5 bits, head_dim 13107) every
+    // plane of an all-ones key selects head_dim elements ones-only,
+    // so a dense scan books exactly 65535 per key, unwrapped.
+    const auto allOnesHead = [](int head_dim, int bits) {
+        MatrixI8 q(1, head_dim);
+        MatrixI8 k(4, head_dim);
+        for (int c = 0; c < head_dim; c++) {
+            q.at(0, c) = 1;
+            for (int r = 0; r < 4; r++)
+                k.at(r, c) = -1;
+        }
+        return QuantizedHead(Quantized{std::move(q), {}},
+                             Quantized{std::move(k), {}},
+                             Quantized{MatrixI8(4, head_dim), {}}, bits,
+                             1.0f);
+    };
+    EXPECT_DEATH(padeAttention(allOnesHead(8192, 8)),
+                 "PADE_CHECK.*kMaxWorkPrefixElems");
+    const QuantizedHead at_cap = allOnesHead(13107, 5);
+    for (QkKernel k :
+         {QkKernel::kScalar, QkKernel::kPopcount, QkKernel::kSimd}) {
+        PadeConfig dense;
+        dense.guard_enabled = false;
+        dense.qk_kernel = k;
+        const PadeResult res = padeAttention(at_cap, dense);
+        EXPECT_EQ(res.stats.ops_naive, 4u * 65535u);
+        EXPECT_EQ(res.stats.ops_bs, 0u); // every sub-group is 0-mode
+    }
 }
 
 TEST(PadeAttention, GuardDisabledKeepsEverything)

@@ -5,9 +5,9 @@
  * including the remainder/tail shapes that exercise masked loads and
  * padded storage: head_dims that are not multiples of the SIMD width,
  * and rows long enough that the AVX2 kernel must widen its 16-bit
- * lanes mid-row. The per-key guarded kernels (popcount, AVX2,
- * AVX-512BW) are checked against a replay built from planeDeltaScalar
- * and GuardFilter.
+ * lanes mid-row. The guarded kernels (the kPopcount pair path and
+ * the AVX2 and AVX-512BW tile kernels) are checked against a replay
+ * built from planeDeltaScalar and GuardFilter.
  *
  * Every parity test also passes in non-AVX2 builds (or on non-AVX2
  * hosts): the *Simd entry points then fall back to the popcount
@@ -16,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -110,14 +112,14 @@ TEST(QkDispatch, SimdAvailabilityImpliesCpuSupport)
 {
     // qkSimdAvailable() must never report true without both the
     // compiled backend and full runtime (CPU + OS) support, and the
-    // AVX-512BW per-key kernel must never be selected without
+    // AVX-512BW tile kernel must never be selected without
     // AVX-512F/BW and OS-saved opmask + ZMM state.
     const simd::CpuFeatures &f = simd::cpuFeatures();
     if (qkSimdAvailable()) {
         EXPECT_TRUE(f.avx2);
         EXPECT_TRUE(f.os_ymm);
     }
-    if (simd::keyKernel() == &simd::scoreKeyAvx512) {
+    if (simd::tileKernel() == &simd::scanTileAvx512) {
         EXPECT_TRUE(simd::qkAvx512Compiled());
         EXPECT_TRUE(f.avx512f);
         EXPECT_TRUE(f.avx512bw);
@@ -290,132 +292,213 @@ replayGuardedKey(std::span<const int8_t> q, const BitPlaneSet &keys,
     return {score, keys.numPlanes(), false};
 }
 
-/** One per-key kernel under test: score key j, updating the guard. */
-using PerKeyRunner = std::function<KeyScore(
-    const QueryPlanes &qp, std::span<const int8_t> q,
-    const BitPlaneSet &keys, int key, const BuiTable &bui,
-    GuardFilter &guard, bool prune)>;
+/** How a sweep's guards are built: band, scale and a seeded max. */
+struct GuardCase
+{
+    double alpha = 0.5;
+    double radius = 5.0;
+    double logit_scale = 0.0; //!< 0: 1 / (8 * cols)
+    /** Lower bound every guard observes before the scan, if any. */
+    std::optional<int64_t> seed_max;
+    /** The band prunes some 8-bit key (checked with pruning on). */
+    bool prunes = true;
+};
 
 /**
- * Walk 24 keys of every bit-width with one guard per (bits, prune)
- * sweep, so guard state carries across keys as in a real scan, and
- * require the kernel to match the replay key by key: score, planes
- * consumed, verdict, guard maximum and update count. The guard band
- * is narrow enough that both verdicts occur at every head_dim.
+ * One tile scan under test: score keys k0 .. k0 + n - 1 of @p keys
+ * against every row of @p rows (started ScanQuery objects, guards
+ * included) and write pair (i, g) to out[i * rows.size() + g].
  */
-void
-expectPerKeyMatchesReplay(int cols, const PerKeyRunner &run)
-{
-    // An 8-plane and a narrow 4-plane query: every kernel must score
-    // any width QueryPlanes narrows a row to.
-    for (int qbits : {8, 4})
-        for (int bits : {2, 4, 8}) {
-            MatrixI8 q = randomRanged(1, cols, qbits,
-                                      600 + cols + bits + qbits, 0.55);
-            MatrixI8 k = randomRanged(24, cols, bits, 700 + cols + bits);
-            const BitPlaneSet keys(k, bits);
-            const QueryPlanes qp(q.row(0));
-            const BuiTable bui = computeBuiTable(q.row(0), bits);
-            const double logit_scale = 1.0 / (8.0 * cols);
-            for (bool prune : {false, true}) {
-                GuardFilter ref(0.5, 5.0, logit_scale);
-                GuardFilter got(0.5, 5.0, logit_scale);
-                int pruned = 0;
-                for (int j = 0; j < keys.numRows(); j++) {
-                    const KeyScore want = replayGuardedKey(
-                        q.row(0), keys, j, bui, ref, prune);
-                    const KeyScore have =
-                        run(qp, q.row(0), keys, j, bui, got, prune);
-                    SCOPED_TRACE(testing::Message()
-                                 << "cols=" << cols << " qbits=" << qbits
-                                 << " bits=" << bits << " prune=" << prune
-                                 << " key=" << j);
-                    EXPECT_EQ(have.score, want.score);
-                    EXPECT_EQ(have.planes, want.planes);
-                    EXPECT_EQ(have.pruned, want.pruned);
-                    EXPECT_EQ(got.maxLowerBound(), ref.maxLowerBound());
-                    EXPECT_EQ(got.updates(), ref.updates());
-                    pruned += want.pruned;
-                }
-                if (prune && bits == 8) {
-                    EXPECT_GT(pruned, 0)
-                        << "cols=" << cols << " qbits=" << qbits;
-                }
-            }
-        }
-}
+using TileRunner = std::function<void(
+    const ScanPlan &plan, std::span<ScanQuery> rows,
+    const BitPlaneSet &keys, int k0, int n, KeyScore *out)>;
 
-/** A raw per-key SIMD kernel, called directly (not via keyKernel). */
-PerKeyRunner
-directRunner(simd::KeyKernel kernel)
+/** A raw SIMD tile kernel, called directly (not via tileKernel). */
+TileRunner
+directRunner(simd::TileKernel kernel)
 {
-    return [kernel](const QueryPlanes &qp, std::span<const int8_t>,
-                    const BitPlaneSet &keys, int key,
-                    const BuiTable &bui, GuardFilter &guard,
-                    bool prune) {
-        const simd::KeyGuard g{&guard, bui.lo.data(), bui.hi.data(),
-                               prune};
-        return kernel(qp.simdView(), keys.rowPlanes(key).data(),
-                      keys.planeStride(), keys.numPlanes(),
-                      keys.numPlanes(), &g);
+    return [kernel](const ScanPlan &plan, std::span<ScanQuery> rows,
+                    const BitPlaneSet &keys, int k0, int n,
+                    KeyScore *out) {
+        std::vector<simd::TileRow> views;
+        for (ScanQuery &sq : rows)
+            views.push_back(sq.tileRow());
+        kernel({keys.rowPlanes(k0).data(), plan.keyStride(),
+                plan.stride, plan.bits, plan.bits, n, plan.prune},
+               views, out);
     };
 }
 
-/** The per-key SIMD kernels this host can call directly: AVX2 where
- *  the CPU has it (or its portable stub in builds without it), and
- *  AVX-512BW where the CPU and OS support it. */
-std::vector<simd::KeyKernel>
+/** One expectTilesMatchReplay() configuration (see there). */
+struct TileCase
+{
+    int cols;
+    int qbits; //!< query value range
+    int bits;  //!< key planes
+    bool prune;
+    int group; //!< query rows
+    int tile;  //!< keys per runner call
+};
+
+/**
+ * Score 32 keys in tiles of tc.tile keys against tc.group query rows,
+ * each row's guard carried across the tiles as in a real scan, and
+ * require every (key, row) pair to match the replay. Returns the
+ * number of pairs the replay pruned.
+ */
+int
+expectTileCase(const TileCase &tc, const TileRunner &run,
+               const GuardCase &gc)
+{
+    SCOPED_TRACE(testing::Message()
+                 << "cols=" << tc.cols << " qbits=" << tc.qbits
+                 << " bits=" << tc.bits << " prune=" << tc.prune
+                 << " group=" << tc.group << " tile=" << tc.tile);
+    const int nkeys = 32;
+    const auto group = static_cast<std::size_t>(tc.group);
+    MatrixI8 q = randomRanged(tc.group, tc.cols, tc.qbits,
+                              600 + tc.cols + tc.bits + tc.qbits +
+                                  tc.group,
+                              0.55);
+    MatrixI8 k = randomRanged(nkeys, tc.cols, tc.bits,
+                              700 + tc.cols + tc.bits);
+    const BitPlaneSet keys(k, tc.bits);
+    const ScanPlan plan(QkKernel::kSimd, tc.bits, keys.planeStride(),
+                        tc.prune);
+    GuardFilter fresh(gc.alpha, gc.radius,
+                      gc.logit_scale > 0.0 ? gc.logit_scale
+                                           : 1.0 / (8.0 * tc.cols));
+    if (gc.seed_max)
+        fresh.observe(*gc.seed_max);
+    std::vector<ScanQuery> rows(group);
+    std::vector<GuardFilter> ref(group, fresh);
+    std::vector<BuiTable> bui;
+    for (std::size_t g = 0; g < group; g++) {
+        rows[g].start(q.row(static_cast<int>(g)), QkKernel::kSimd,
+                      tc.bits, fresh, nullptr, nullptr);
+        bui.push_back(computeBuiTable(q.row(static_cast<int>(g)),
+                                      tc.bits));
+    }
+    std::vector<KeyScore> out(static_cast<std::size_t>(tc.tile) * group);
+    int pruned = 0;
+    for (int k0 = 0; k0 < nkeys; k0 += tc.tile) {
+        const int n = std::min(tc.tile, nkeys - k0);
+        run(plan, rows, keys, k0, n, out.data());
+        for (int i = 0; i < n; i++)
+            for (std::size_t g = 0; g < group; g++) {
+                const KeyScore want =
+                    replayGuardedKey(q.row(static_cast<int>(g)), keys,
+                                     k0 + i, bui[g], ref[g], tc.prune);
+                const KeyScore &have =
+                    out[static_cast<std::size_t>(i) * group + g];
+                EXPECT_EQ(have.score, want.score)
+                    << "key " << k0 + i << " row " << g;
+                EXPECT_EQ(have.planes, want.planes)
+                    << "key " << k0 + i << " row " << g;
+                EXPECT_EQ(have.pruned, want.pruned)
+                    << "key " << k0 + i << " row " << g;
+                pruned += want.pruned;
+            }
+        for (std::size_t g = 0; g < group; g++) {
+            EXPECT_EQ(rows[g].guard.maxLowerBound(),
+                      ref[g].maxLowerBound())
+                << "after key " << k0 + n - 1 << " row " << g;
+            EXPECT_EQ(rows[g].guard.updates(), ref[g].updates())
+                << "after key " << k0 + n - 1 << " row " << g;
+        }
+    }
+    return pruned;
+}
+
+/**
+ * The tile sweep: at head_dim @p cols, every query width QueryPlanes
+ * may narrow a row to (8 and 4 planes), key widths 2, 4 and 8,
+ * pruning off and on, groups of 1 and 4 rows and tiles of 1, 7 and
+ * 16 keys, each checked by expectTileCase(): score, planes consumed
+ * and verdict per (key, row), and each row's guard maximum and
+ * update count after every tile (per key at tile length 1). The
+ * default guard band is narrow enough that both verdicts occur at
+ * every head_dim.
+ */
+void
+expectTilesMatchReplay(int cols, const TileRunner &run,
+                       const GuardCase &gc = {})
+{
+    for (int qbits : {8, 4})
+        for (int bits : {2, 4, 8})
+            for (bool prune : {false, true})
+                for (int group : {1, 4})
+                    for (int tile : {1, 7, 16}) {
+                        const int pruned = expectTileCase(
+                            {cols, qbits, bits, prune, group, tile}, run,
+                            gc);
+                        if (prune && bits == 8 && gc.prunes) {
+                            EXPECT_GT(pruned, 0)
+                                << "cols=" << cols << " qbits=" << qbits
+                                << " group=" << group
+                                << " tile=" << tile;
+                        }
+                    }
+}
+
+/** The tile kernels this host can call directly: AVX2 where the CPU
+ *  has it (or its portable stub in builds without it), and AVX-512BW
+ *  where the CPU and OS support it. */
+std::vector<simd::TileKernel>
 directKernels()
 {
-    std::vector<simd::KeyKernel> out;
+    std::vector<simd::TileKernel> out;
     if (simd::qkAvx2Compiled() && !qkSimdAvailable())
         return out;
-    out.push_back(&simd::scoreKeyAvx2);
+    out.push_back(&simd::scanTileAvx2);
     const simd::CpuFeatures &f = simd::cpuFeatures();
     if (f.avx512f && f.avx512bw && f.os_zmm)
-        out.push_back(&simd::scoreKeyAvx512);
+        out.push_back(&simd::scanTileAvx512);
     return out;
 }
 
 /** Dense partial dot (planes 0..r of key @p row) through @p kernel. */
 int64_t
-partialDotVia(simd::KeyKernel kernel, const QueryPlanes &qp,
+partialDotVia(simd::TileKernel kernel, const QueryPlanes &qp,
               const BitPlaneSet &keys, int row, int r)
 {
-    return kernel(qp.simdView(), keys.rowPlanes(row).data(),
-                  keys.planeStride(), keys.numPlanes(), r + 1, nullptr)
-        .score;
+    const int64_t no_bounds[simd::kMaxTilePlanes] = {};
+    GuardFilter guard(1.0, 0.0, 1.0);
+    const simd::TileRow view{qp.simdView(), no_bounds, no_bounds,
+                             &guard};
+    KeyScore out{};
+    kernel({keys.rowPlanes(row).data(), 0, keys.planeStride(),
+            keys.numPlanes(), r + 1, 1, false},
+           {&view, 1}, &out);
+    return out.score;
 }
 
 TEST_P(SimdTailTest, PerKeyPopcountMatchesGuardedReplay)
 {
-    // The guarded scan's kPopcount call, through its scan state.
-    expectPerKeyMatchesReplay(
+    // The guarded scan's kPopcount path, pair by pair through the
+    // same ScanQuery state the tile loop uses.
+    expectTilesMatchReplay(
         GetParam(),
-        [](const QueryPlanes &, std::span<const int8_t> q,
-           const BitPlaneSet &keys, int key, const BuiTable &,
-           GuardFilter &guard, bool prune) {
-            ScanQuery sq;
-            sq.start(q, QkKernel::kPopcount, keys.numPlanes(), guard,
-                     nullptr, nullptr);
-            const ScanPlan plan(QkKernel::kPopcount, keys.numPlanes(),
-                                keys.planeStride(), prune);
-            const KeyScore ks =
-                scoreKey(QkKernelTag<QkKernel::kPopcount>{}, plan, sq,
-                         keys.rowPlanes(key).data());
-            guard = sq.guard;
-            return ks;
+        [](const ScanPlan &plan, std::span<ScanQuery> rows,
+           const BitPlaneSet &keys, int k0, int n, KeyScore *out) {
+            for (std::size_t g = 0; g < rows.size(); g++)
+                for (int i = 0; i < n; i++)
+                    out[static_cast<std::size_t>(i) * rows.size() + g] =
+                        scoreKey(QkKernelTag<QkKernel::kPopcount>{},
+                                 plan, rows[g],
+                                 keys.rowPlanes(k0 + i).data());
         });
 }
 
 TEST_P(SimdTailTest, PerKeyAvx2MatchesGuardedReplay)
 {
-    // Called directly, so it stays covered on hosts where kSimd runs
-    // the AVX-512BW kernel. Off-AVX2 builds run the portable stub.
+    // The AVX2 tile kernel, called directly, so it stays covered on
+    // hosts where kSimd runs the AVX-512BW kernel. Off-AVX2 builds
+    // run the portable stub.
     if (simd::qkAvx2Compiled() && !qkSimdAvailable())
         GTEST_SKIP() << "CPU/OS lacks AVX2";
-    expectPerKeyMatchesReplay(GetParam(),
-                              directRunner(&simd::scoreKeyAvx2));
+    expectTilesMatchReplay(GetParam(),
+                           directRunner(&simd::scanTileAvx2));
 }
 
 TEST_P(SimdTailTest, PerKeyAvx512MatchesGuardedReplay)
@@ -425,14 +508,104 @@ TEST_P(SimdTailTest, PerKeyAvx512MatchesGuardedReplay)
         GTEST_SKIP() << "CPU/OS lacks AVX-512BW";
     if (simd::qkAvx2Compiled() && !qkSimdAvailable())
         GTEST_SKIP() << "CPU/OS lacks AVX2";
-    expectPerKeyMatchesReplay(GetParam(),
-                              directRunner(&simd::scoreKeyAvx512));
+    expectTilesMatchReplay(GetParam(),
+                           directRunner(&simd::scanTileAvx512));
 }
 
 INSTANTIATE_TEST_SUITE_P(TailShapes, SimdTailTest,
                          ::testing::Values(1, 3, 31, 63, 64, 65, 96,
                                            127, 128, 129, 255, 256,
                                            257, 300, 512, 4097));
+
+TEST(QkSimd, SaturatedThresholdTilesMatchReplay)
+{
+    // Margins so wide that max(LB) - margin falls below INT64_MIN:
+    // threshold() saturates there, and the tile kernels' lane-wise
+    // threshold must saturate with it. 2^63 - 1024 is the widest
+    // margin a double converts exactly; 1e30 saturates the margin
+    // itself at INT64_MAX.
+    for (double radius : {0x1p63 - 1024.0, 1e30}) {
+        GuardCase gc;
+        gc.alpha = 1.0;
+        gc.radius = radius;
+        gc.logit_scale = 1.0;
+        gc.prunes = false;
+        GuardFilter probe(gc.alpha, gc.radius, gc.logit_scale);
+        probe.observe(-2048);
+        ASSERT_EQ(probe.threshold(), INT64_MIN) << "radius " << radius;
+        for (const simd::TileKernel kernel : directKernels())
+            for (int cols : {64, 65})
+                expectTilesMatchReplay(cols, directRunner(kernel), gc);
+    }
+}
+
+TEST(QkSimd, FirstKeyPrunedAtPlaneOne)
+{
+    // A guard that has already seen a lower bound no key can reach
+    // prunes the first key of the first tile at its sign plane, the
+    // lane-0 stop of the vector decision, with no threshold update.
+    const int64_t seeded = int64_t{1} << 40;
+    for (int cols : {64, 96}) {
+        MatrixI8 q = randomRanged(1, cols, 8, 900 + cols);
+        MatrixI8 k = randomRanged(4, cols, 8, 910 + cols);
+        const BitPlaneSet keys(k, 8);
+        const BuiTable bui = computeBuiTable(q.row(0), 8);
+        GuardFilter ref(0.5, 5.0, 1.0 / (8.0 * cols));
+        ref.observe(seeded);
+        GuardFilter replay = ref;
+        const KeyScore want =
+            replayGuardedKey(q.row(0), keys, 0, bui, replay, true);
+        ASSERT_TRUE(want.pruned);
+        ASSERT_EQ(want.planes, 1);
+        const ScanPlan plan(QkKernel::kSimd, 8, keys.planeStride(), true);
+        for (const simd::TileKernel kernel : directKernels()) {
+            std::vector<ScanQuery> rows(1);
+            rows[0].start(q.row(0), QkKernel::kSimd, 8, ref, nullptr,
+                          nullptr);
+            KeyScore out[4];
+            directRunner(kernel)(plan, rows, keys, 0, 4, out);
+            EXPECT_EQ(out[0].score, want.score);
+            EXPECT_EQ(out[0].planes, 1);
+            EXPECT_TRUE(out[0].pruned);
+            EXPECT_EQ(rows[0].guard.maxLowerBound(), seeded);
+            EXPECT_EQ(rows[0].guard.updates(), ref.updates());
+        }
+        GuardCase gc;
+        gc.seed_max = seeded;
+        for (const simd::TileKernel kernel : directKernels())
+            expectTilesMatchReplay(cols, directRunner(kernel), gc);
+    }
+}
+
+TEST(QkSimd, FirstObserveCountsAtLowestBound)
+{
+    // An unseen guard counts its first observe as an update even when
+    // that lower bound is INT64_MIN, the guard's initial maximum: an
+    // all-zero key has S^r = 0, so lo[0] = INT64_MIN makes lb[0] equal
+    // the maximum it would have to beat.
+    const int cols = 64;
+    MatrixI8 q = randomRanged(1, cols, 8, 950);
+    const MatrixI8 k(1, cols); // zero-initialized
+    const BitPlaneSet keys(k, 8);
+    int64_t lo[simd::kMaxTilePlanes] = {INT64_MIN};
+    const int64_t hi[simd::kMaxTilePlanes] = {};
+    const QueryPlanes qp(q.row(0));
+    GuardFilter want(1.0, 5.0, 1.0);
+    for (int r = 0; r < 8; r++)
+        want.observe(0 + lo[r]);
+    ASSERT_EQ(want.updates(), 2u);
+    for (const simd::TileKernel kernel : directKernels()) {
+        GuardFilter got(1.0, 5.0, 1.0);
+        const simd::TileRow row{qp.simdView(), lo, hi, &got};
+        KeyScore out{};
+        kernel({keys.rowPlanes(0).data(), 0, keys.planeStride(), 8, 8, 1,
+                false},
+               {&row, 1}, &out);
+        EXPECT_EQ(out.score, 0);
+        EXPECT_EQ(got.updates(), want.updates());
+        EXPECT_EQ(got.maxLowerBound(), want.maxLowerBound());
+    }
+}
 
 TEST(QkSimd, NarrowedQueryWidthsMatch)
 {
@@ -453,7 +626,7 @@ TEST(QkSimd, NarrowedQueryWidthsMatch)
                     partialDotScalar(q.row(0), planes, j, r);
                 EXPECT_EQ(partialDotSimd(qp, planes, j, r), ref)
                     << "qbits=" << qbits;
-                for (const simd::KeyKernel kernel : directKernels())
+                for (const simd::TileKernel kernel : directKernels())
                     EXPECT_EQ(partialDotVia(kernel, qp, planes, j, r),
                               ref)
                         << "qbits=" << qbits;
@@ -476,7 +649,7 @@ TEST(QkSimd, ForcedWidthTruncationStaysConsistent)
         for (int r = 0; r < 8; r++) {
             const int64_t ref = partialDot(qp, planes, j, r);
             EXPECT_EQ(partialDotSimd(qp, planes, j, r), ref);
-            for (const simd::KeyKernel kernel : directKernels())
+            for (const simd::TileKernel kernel : directKernels())
                 EXPECT_EQ(partialDotVia(kernel, qp, planes, j, r), ref);
         }
 }
@@ -501,7 +674,7 @@ TEST(QkSimd, AllOnesWideKeyDoesNotWrap)
     for (int r = 0; r < 8; r++) {
         const int64_t ref = partialDotScalar(q.row(0), planes, 0, r);
         EXPECT_EQ(partialDotSimd(qp, planes, 0, r), ref) << "r=" << r;
-        for (const simd::KeyKernel kernel : directKernels())
+        for (const simd::TileKernel kernel : directKernels())
             EXPECT_EQ(partialDotVia(kernel, qp, planes, 0, r), ref)
                 << "r=" << r;
     }

@@ -196,18 +196,48 @@ TEST(KvCache, PagingGeometryAndValueRows)
             EXPECT_EQ(v[d], 0.5f * vals.at(t, d));
     }
 
-    // Cached PlaneWork matches a fresh computation on the page.
+    // Cached WorkPrefix entries are the running sums of a fresh
+    // PlaneWork computation on the page, plane by plane.
     for (int t = 0; t < 11; t++) {
         const BitPlaneSet &p = cache.pagePlanes(cache.pageOf(t));
+        int bs = 0;
+        int naive = 0;
         for (int r = 0; r < kc.bits; r++) {
             const PlaneWork fresh = planeWork(p, cache.rowOf(t), r,
                                               kc.subgroup, kc.muxes);
-            const PlaneWork &cached = cache.work(t, r);
-            EXPECT_EQ(cached.selected_bs, fresh.selected_bs);
-            EXPECT_EQ(cached.selected_naive, fresh.selected_naive);
-            EXPECT_EQ(cached.cycles_bs, fresh.cycles_bs);
-            EXPECT_EQ(cached.cycles_naive, fresh.cycles_naive);
+            bs += fresh.selected_bs;
+            naive += fresh.selected_naive;
+            const WorkPrefix &cached = cache.work(t, r);
+            EXPECT_EQ(cached.bs, bs) << "token " << t << " plane " << r;
+            EXPECT_EQ(cached.naive, naive)
+                << "token " << t << " plane " << r;
         }
+    }
+}
+
+TEST(KvCacheDeathTest, WorkPrefixCapAbortsInEveryBuild)
+{
+    // Each token's WorkPrefix row holds 16-bit running sums, so the
+    // constructor refuses bits * head_dim past kMaxWorkPrefixElems
+    // (65535): an 8-bit head_dim of 8192 is one element past it.
+    const auto make = [](int head_dim, int bits) {
+        KvCacheConfig kc;
+        kc.head_dim = head_dim;
+        kc.bits = bits;
+        kc.page_tokens = 2;
+        return KvCache(kc);
+    };
+    EXPECT_DEATH(make(8192, 8), "PADE_CHECK.*kMaxWorkPrefixElems");
+    // At the cap (5 bits, head_dim 13107) an all-ones key selects
+    // every element of every plane ones-only: the last running sum is
+    // exactly 65535.
+    KvCache cache = make(13107, 5);
+    const std::vector<int8_t> k_row(13107, -1);
+    const std::vector<int8_t> v_row(13107, 0);
+    cache.appendToken(k_row, v_row);
+    for (int r = 0; r < 5; r++) {
+        EXPECT_EQ(cache.work(0, r).naive, 13107 * (r + 1));
+        EXPECT_EQ(cache.work(0, r).bs, 0);
     }
 }
 
@@ -348,6 +378,11 @@ TEST(DecodeEngine, BitIdenticalAtInt4AndOddShapes)
     // head_dim exercising the SIMD tail path.
     expectDecodeMatchesBatch(QkKernel::kSimd, 4, 16, 96);
     expectDecodeMatchesBatch(QkKernel::kPopcount, 4, 10, 65);
+    // page_tokens 24 against tile_bc 16: the decode scan splits tile
+    // [16, 32) (and every third tile after it) into two kSimd tile
+    // calls at a page boundary, which the batch scan does not.
+    expectDecodeMatchesBatch(QkKernel::kSimd, 8, 24, 64);
+    expectDecodeMatchesBatch(QkKernel::kSimd, 4, 24, 65);
 }
 
 TEST(DecodeEngine, SinglePageAndUnguardedDense)
