@@ -47,7 +47,7 @@ BM_BitPlaneDecompose(benchmark::State &state)
     const Quantized kq = quantizeSymmetric(head.k, 8);
     for (auto _ : state) {
         BitPlaneSet planes(kq.values, 8);
-        benchmark::DoNotOptimize(planes.popcount(0, 0));
+        benchmark::DoNotOptimize(planes.plane(0, 0)[0]);
     }
     state.SetItemsProcessed(state.iterations() * s);
 }
@@ -124,22 +124,6 @@ BM_ExactDotScalar(benchmark::State &state)
 }
 BENCHMARK(BM_ExactDotScalar);
 
-void
-BM_ExactDotSimd(benchmark::State &state)
-{
-    const int h = static_cast<int>(state.range(0));
-    const QuantizedHead head = makeHead(1024, h);
-    const QueryPlanes q(head.q.values.row(0));
-    int j = 0;
-    for (auto _ : state) {
-        const int64_t d = exactDotSimd(q, head.k_planes, j);
-        benchmark::DoNotOptimize(d);
-        j = (j + 1) % 1024;
-    }
-    state.SetItemsProcessed(state.iterations() * h);
-}
-BENCHMARK(BM_ExactDotSimd)->Arg(128)->Arg(256)->Arg(512);
-
 /**
  * The guarded scan's SIMD tile kernels, called directly: one
  * 2048-key, head_dim 64, 8-bit key set scanned by a GQA group of 4
@@ -169,8 +153,7 @@ BM_ScanTile(benchmark::State &state)
     spec.head_dim = 64;
     spec.seed = 42;
     const QuantizedHead head = quantizeHead(generateHead(spec));
-    const ScanPlan plan(QkKernel::kSimd, 8, head.k_planes.planeStride(),
-                        cfg.guard_enabled);
+    const ScanPlan plan(QkKernel::kSimd, 8, cfg.guard_enabled);
     const GuardFilter fresh(cfg.alpha, cfg.radius, head.logit_scale);
     std::vector<ScanQuery> rows(kHeads);
     std::vector<simd::TileRow> views;
@@ -188,9 +171,8 @@ BM_ScanTile(benchmark::State &state)
             sq.guard = fresh;
         for (std::size_t o = 0; o < order.size();
              o += static_cast<std::size_t>(cfg.tile_bc))
-            kernel({head.k_planes.rowPlanes(order[o]).data(),
-                    plan.keyStride(), plan.stride, 8, 8, cfg.tile_bc,
-                    plan.prune},
+            kernel({head.k_planes.rowPlanes(order[o]).data(), 8, 8,
+                    cfg.tile_bc, plan.prune},
                    views, out.data());
         benchmark::DoNotOptimize(out.data());
     }

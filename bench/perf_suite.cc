@@ -4,24 +4,20 @@
  * machine-readable BENCH_perf.json so the performance trajectory is
  * visible across PRs (CI uploads the file as an artifact).
  *
- * Five stages are measured, kernel and flatness checks that the
- * serving benchmark (servbench/) does not cover:
- *  1. QK scoring kernel — the three-way kernel comparison (scalar
- *     ctz-walk oracle, word-parallel popcount, per-key SIMD kernel)
- *     across {seq, bits, head_dim} points, including the
- *     head_dim >= 128 rows the SIMD backend targets;
- *  2. full padeAttention under all kernel dispatches, with a reused
- *     PadeWorkspace (the allocation-free hot path);
- *  3. reference attention — cache-blocked dense matmul path and the
+ * Three stages are measured, checks that neither the serving
+ * benchmark (servbench/) nor the kernel microbenchmarks
+ * (bench/micro_kernels.cc, which time the QK kernels and
+ * padeAttention under every dispatch with spread) cover:
+ *  1. reference attention — cache-blocked dense matmul path and the
  *     tiled flash recurrence (the oracle every figure bench pays for);
- *  4. GQA layer decode — per-token cost of a whole 8-query-head
+ *  2. GQA layer decode — per-token cost of a whole 8-query-head
  *     layer at KV-sharing ratios 1:1 / 4:1 / 8:1 (LayerEngine with
  *     shared caches), against 8x the single-head cost. Sharing the
- *     KV stream amortizes the append and the per-key page/PlaneWork
+ *     KV stream amortizes the append and the per-key page/WorkPrefix
  *     lookups across the group, so the grouped cost sits measurably
  *     below heads-times-single — and KV residency scales with
  *     kv_heads, not heads;
- *  5. windowed decode — per-token decode cost of a layer under a
+ *  3. windowed decode — per-token decode cost of a layer under a
  *     sink+recency retention window at context 4096 vs 16384, which
  *     must stay flat (the scan order and its scratch clearing are
  *     O(window), not O(context)).
@@ -38,9 +34,7 @@
 
 #include "attention/reference.h"
 #include "bench/common.h"
-#include "core/pade_attention.h"
 #include "core/simd/qk_dispatch.h"
-#include "quant/bitplane.h"
 #include "runtime/thread_pool.h"
 #include "serving/layer_engine.h"
 #include "workload/generator.h"
@@ -146,19 +140,7 @@ class Json
     int depth_ = 0;
 };
 
-QuantizedHead
-makeHead(int seq, int bits, int head_dim = 128, int queries = 8,
-         uint64_t seed = 42)
-{
-    WorkloadSpec spec;
-    spec.seq_len = seq;
-    spec.query_len = queries;
-    spec.head_dim = head_dim;
-    spec.seed = seed;
-    return quantizeHead(generateHead(spec), bits);
-}
-
-/** Measured cost of one GQA layer configuration (section 4). */
+/** Measured cost of one GQA layer configuration (section 2). */
 struct GqaDecodeCost
 {
     double layer_us_per_tok = 0.0; //!< whole layer: appends + decode
@@ -169,7 +151,7 @@ struct GqaDecodeCost
  * Per-token decode cost of one whole layer: prefill ctx tokens
  * (untimed), then time `steps` rounds of KV append + grouped decode
  * across every head, best of `reps` fresh engines. An enabled
- * @p retention policy windows the decode scan (section 5 measures
+ * @p retention policy windows the decode scan (section 3 measures
  * its context-independence with it).
  */
 GqaDecodeCost
@@ -265,143 +247,18 @@ main(int argc, char **argv)
     json.field("reps", static_cast<int64_t>(reps));
     json.field("hardware_threads",
                static_cast<int64_t>(ThreadPool::hardwareThreads()));
+    // The decode sections run the default kernel: kSimd here, else
+    // kPopcount.
+    json.field("simd_available",
+               std::string(qkSimdAvailable() ? "true" : "false"));
     int64_t checksum = 0; // defeats dead-code elimination; recorded
 
     // ------------------------------------------------------------------
-    // 1. QK scoring kernel: the three-way comparison — scalar oracle,
-    //    word-parallel popcount, AVX2 SIMD — exactDot over all
-    //    (query, key) pairs. head_dim rows >= 128 are the ones the
-    //    SIMD backend targets (ISSUE 3 acceptance: >= 1.5x over
-    //    popcount there).
+    // 1. Reference attention (cache-blocked matmul path + flash).
     // ------------------------------------------------------------------
-    std::printf("\n[1/5] QK scoring kernel (exactDot over all pairs; "
-                "simd %s)\n",
-                qkSimdAvailable() ? "available" : "UNAVAILABLE");
+    std::printf("\n[1/3] reference attention (oracle path)\n");
     Table t1;
-    t1.header({"seq", "bits", "hdim", "scalar ns/pair",
-               "popcount ns/pair", "simd ns/pair", "simd/pop"});
-    json.field("simd_available",
-               std::string(qkSimdAvailable() ? "true" : "false"));
-    json.openArray("qk_kernel");
-
-    struct QkPoint
-    {
-        int seq, bits, head_dim;
-    };
-    std::vector<QkPoint> qk_points;
-    if (quick) {
-        qk_points = {{1024, 8, 128}, {4096, 8, 128}, {4096, 8, 256}};
-    } else {
-        for (int seq : {1024, 4096, 16384})
-            for (int bits : {4, 8})
-                qk_points.push_back({seq, bits, 128});
-        // head_dim sweep at the paper operating point: covers the
-        // pair-register kernel (<= 128), the quad kernel (<= 256),
-        // and the wide chunked kernel beyond.
-        for (int hd : {64, 256, 512})
-            qk_points.push_back({4096, 8, hd});
-    }
-
-    for (const auto [seq, bits, head_dim] : qk_points) {
-        const QuantizedHead head = makeHead(seq, bits, head_dim);
-        const int p = head.q.values.rows();
-        const double pairs = static_cast<double>(p) * seq;
-
-        const double scalar_ms = bestMs(reps, [&] {
-            for (int i = 0; i < p; i++) {
-                auto q = head.q.values.row(i);
-                for (int j = 0; j < seq; j++)
-                    checksum += exactDotScalar(q, head.k_planes, j);
-            }
-        });
-        QueryPlanes qp;
-        const double pop_ms = bestMs(reps, [&] {
-            for (int i = 0; i < p; i++) {
-                qp.assign(head.q.values.row(i));
-                for (int j = 0; j < seq; j++)
-                    checksum += exactDot(qp, head.k_planes, j);
-            }
-        });
-        const double simd_ms = bestMs(reps, [&] {
-            for (int i = 0; i < p; i++) {
-                qp.assign(head.q.values.row(i));
-                for (int j = 0; j < seq; j++)
-                    checksum += exactDotSimd(qp, head.k_planes, j);
-            }
-        });
-        const double simd_vs_pop = pop_ms / simd_ms;
-        t1.row({std::to_string(seq), std::to_string(bits),
-                std::to_string(head_dim),
-                Table::num(scalar_ms * 1e6 / pairs, 1),
-                Table::num(pop_ms * 1e6 / pairs, 1),
-                Table::num(simd_ms * 1e6 / pairs, 1),
-                Table::num(simd_vs_pop, 2)});
-        json.openObject();
-        json.field("seq", static_cast<int64_t>(seq));
-        json.field("bits", static_cast<int64_t>(bits));
-        json.field("head_dim", static_cast<int64_t>(head_dim));
-        json.field("scalar_ns_per_pair", scalar_ms * 1e6 / pairs);
-        json.field("popcount_ns_per_pair", pop_ms * 1e6 / pairs);
-        json.field("simd_ns_per_pair", simd_ms * 1e6 / pairs);
-        json.field("speedup_pop_vs_scalar", scalar_ms / pop_ms);
-        json.field("speedup_simd_vs_pop", simd_vs_pop);
-        json.close();
-    }
-    json.close(true);
-    t1.print();
-
-    // ------------------------------------------------------------------
-    // 2. Full padeAttention under all three dispatches, reused
-    //    workspace. kSimd silently resolves to kPopcount when the
-    //    backend is unavailable (the two columns then read the same).
-    // ------------------------------------------------------------------
-    std::printf("\n[2/5] padeAttention (guarded, workspace reuse)\n");
-    Table t2;
-    t2.header({"seq", "scalar ms", "popcount ms", "simd ms",
-               "simd/scalar", "keep rate"});
-    json.openArray("pade_attention");
-    for (int seq : quick ? std::vector<int>{1024}
-                         : std::vector<int>{1024, 4096}) {
-        const QuantizedHead head = makeHead(seq, 8);
-        PadeWorkspace ws;
-        double keep = 0.0;
-        const auto time_kernel = [&](QkKernel k) {
-            PadeConfig cfg;
-            cfg.qk_kernel = k;
-            return bestMs(reps, [&] {
-                const PadeResult res = padeAttention(head, cfg, &ws);
-                checksum +=
-                    static_cast<int64_t>(res.stats.keys_retained);
-                keep = res.stats.keepRate();
-            });
-        };
-        const double scalar_ms = time_kernel(QkKernel::kScalar);
-        const double pop_ms = time_kernel(QkKernel::kPopcount);
-        const double simd_ms = time_kernel(QkKernel::kSimd);
-        t2.row({std::to_string(seq), Table::num(scalar_ms, 2),
-                Table::num(pop_ms, 2), Table::num(simd_ms, 2),
-                Table::num(scalar_ms / simd_ms, 2),
-                Table::num(keep, 3)});
-        json.openObject();
-        json.field("seq", static_cast<int64_t>(seq));
-        json.field("bits", static_cast<int64_t>(8));
-        json.field("scalar_ms", scalar_ms);
-        json.field("popcount_ms", pop_ms);
-        json.field("simd_ms", simd_ms);
-        json.field("speedup_pop_vs_scalar", scalar_ms / pop_ms);
-        json.field("speedup_simd_vs_scalar", scalar_ms / simd_ms);
-        json.field("keep_rate", keep);
-        json.close();
-    }
-    json.close(true);
-    t2.print();
-
-    // ------------------------------------------------------------------
-    // 3. Reference attention (cache-blocked matmul path + flash).
-    // ------------------------------------------------------------------
-    std::printf("\n[3/5] reference attention (oracle path)\n");
-    Table t3;
-    t3.header({"seq", "queries", "dense ms", "flash ms"});
+    t1.header({"seq", "queries", "dense ms", "flash ms"});
     json.openArray("reference");
     for (int seq : quick ? std::vector<int>{1024}
                          : std::vector<int>{1024, 2048}) {
@@ -420,7 +277,7 @@ main(int argc, char **argv)
                                              head.scale, 64);
             checksum += static_cast<int64_t>(o.at(0, 0) * 1e3);
         });
-        t3.row({std::to_string(seq), "256", Table::num(dense_ms, 2),
+        t1.row({std::to_string(seq), "256", Table::num(dense_ms, 2),
                 Table::num(flash_ms, 2)});
         json.openObject();
         json.field("seq", static_cast<int64_t>(seq));
@@ -430,19 +287,19 @@ main(int argc, char **argv)
         json.close();
     }
     json.close(true);
-    t3.print();
+    t1.print();
 
     // ------------------------------------------------------------------
-    // 4. GQA layer decode: a whole 8-head layer at KV sharing ratios
+    // 2. GQA layer decode: a whole 8-head layer at KV sharing ratios
     //    1:1 / 4:1 / 8:1 versus 8x the single-head cost. The shared
-    //    cache amortizes appends and per-key page/PlaneWork lookups
+    //    cache amortizes appends and per-key page/WorkPrefix lookups
     //    across the group (acceptance: the 8:1 ratio sits measurably
     //    below 1.0), and KV residency scales with kv_heads.
     // ------------------------------------------------------------------
-    std::printf("\n[4/5] GQA layer decode (8 query heads, shared KV "
+    std::printf("\n[2/3] GQA layer decode (8 query heads, shared KV "
                 "caches)\n");
-    Table t4;
-    t4.header({"heads", "kv", "ratio", "ctx", "layer us/tok",
+    Table t2;
+    t2.header({"heads", "kv", "ratio", "ctx", "layer us/tok",
                "us/tok/head", "vs heads x single", "KV MB"});
     json.openArray("gqa_decode");
     const int gqa_ctx = quick ? 512 : 1024;
@@ -465,7 +322,7 @@ main(int argc, char **argv)
         char ratio[16];
         std::snprintf(ratio, sizeof(ratio), "%d:1",
                       heads / kv_heads);
-        t4.row({std::to_string(heads), std::to_string(kv_heads),
+        t2.row({std::to_string(heads), std::to_string(kv_heads),
                 ratio, std::to_string(gqa_ctx),
                 Table::num(c.layer_us_per_tok, 1),
                 Table::num(c.layer_us_per_tok / heads, 1),
@@ -485,14 +342,14 @@ main(int argc, char **argv)
         json.close();
     }
     json.close(true);
-    t4.print();
+    t2.print();
 
     // ------------------------------------------------------------------
-    // 5. Windowed decode: per-token cost at context 4096 vs 16384
+    // 3. Windowed decode: per-token cost at context 4096 vs 16384
     //    under a 64-sink / 512-recency window — flat, because the scan
     //    order and its scratch clearing are O(window).
     // ------------------------------------------------------------------
-    std::printf("\n[5/5] windowed decode (64 sink + 512 recency)\n");
+    std::printf("\n[3/3] windowed decode (64 sink + 512 recency)\n");
     {
         RetentionPolicy rp;
         rp.sink_tokens = 64;
@@ -500,8 +357,8 @@ main(int argc, char **argv)
         // Enough timed steps that per-step jitter averages out — the
         // flatness claim compares two ~50 us/token measurements.
         const int win_steps = quick ? 32 : 96;
-        Table t5;
-        t5.header({"ctx", "window", "decode us/tok"});
+        Table t3;
+        t3.header({"ctx", "window", "decode us/tok"});
         json.openArray("windowed_decode");
         // Interleave the two contexts across reps (4k, 16k, 4k, ...)
         // so a noisy window on the host lands on both: the flatness
@@ -520,7 +377,7 @@ main(int argc, char **argv)
         const double us_small = best_us[0];
         const double us_large = best_us[1];
         for (int i = 0; i < 2; i++) {
-            t5.row({std::to_string(ctxs[i]),
+            t3.row({std::to_string(ctxs[i]),
                     std::to_string(rp.sink_tokens + rp.recency_tokens),
                     Table::num(best_us[i], 1)});
             json.openObject();
@@ -533,7 +390,7 @@ main(int argc, char **argv)
             json.close();
         }
         json.close(true);
-        t5.print();
+        t3.print();
         const double flatness =
             us_large / std::max(us_small, 1e-9);
         std::printf("windowed decode us/tok at 16384 vs 4096 ctx: "

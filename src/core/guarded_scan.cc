@@ -17,9 +17,8 @@ PruneStats::operator+=(const PruneStats &o)
     return *this;
 }
 
-ScanPlan::ScanPlan(QkKernel kernel, int key_bits, int plane_stride,
-                   bool guard_enabled)
-    : bits(key_bits), stride(plane_stride), prune(guard_enabled),
+ScanPlan::ScanPlan(QkKernel kernel, int key_bits, bool guard_enabled)
+    : bits(key_bits), prune(guard_enabled),
       tile_kernel(kernel == QkKernel::kSimd ? simd::tileKernel()
                                             : nullptr)
 {
@@ -31,10 +30,12 @@ ScanQuery::start(std::span<const int8_t> row, QkKernel kernel, int bits,
                  uint8_t *keep_row)
 {
     q = row;
-    if (kernel != QkKernel::kScalar)
+    if (kernel == QkKernel::kPopcount)
         qplanes.assign(row);
-    view = kernel == QkKernel::kSimd ? qplanes.simdView()
-                                     : simd::QPlaneView{};
+    if (kernel == QkKernel::kSimd) {
+        bytes.assign(row.begin(), row.end());
+        bytes.resize((row.size() + 31) / 32 * 32, 0);
+    }
     bui = computeBuiTable(row, bits);
     guard = g;
     planes_out = planes_row;

@@ -25,8 +25,9 @@
  * Booking is O(1) per pair: each key carries a WorkPrefix row (the
  * running sums of its planes' work counts), and a pair reads the
  * entry at its stop plane. A tile is a pointer pair: its first key's
- * plane row (keys plan.bits * plan.stride words apart) and its first
- * WorkPrefix row. A contiguous BitPlaneSet with
+ * plane row in BitPlaneSet's layout (keys bits * ceil(head_dim / 64)
+ * words apart, a stride every kernel derives from the query row's
+ * length) and its first WorkPrefix row. A contiguous BitPlaneSet with
  * PadeWorkspace::plane_work and a KvCache page both supply it.
  */
 
@@ -94,23 +95,13 @@ struct ScanPlan
      * @param kernel resolved kernel (resolveQkKernel); kSimd fetches
      *        the CPU's tile kernel here, once
      * @param key_bits key planes per key
-     * @param plane_stride words between a key's consecutive planes
      * @param guard_enabled PadeConfig::guard_enabled
      */
-    ScanPlan(QkKernel kernel, int key_bits, int plane_stride,
-             bool guard_enabled);
+    ScanPlan(QkKernel kernel, int key_bits, bool guard_enabled);
 
     int bits;
-    int stride;
     bool prune;
     simd::TileKernel tile_kernel; //!< kSimd's tile kernel, else null
-
-    /** Words between the plane rows of consecutive keys. */
-    std::ptrdiff_t
-    keyStride() const
-    {
-        return static_cast<std::ptrdiff_t>(bits) * stride;
-    }
 };
 
 /**
@@ -123,18 +114,19 @@ struct ScanQuery
 {
     /**
      * Stage query row @p row for a scan with @p kernel over @p bits -bit
-     * keys: packs the planes the kernel needs, builds the BUI table,
-     * installs @p g, points the planes-consumed and keep outputs
-     * at @p planes_row / @p keep_row (indexed by key id) and clears
-     * the retained lists.
+     * keys: stages the form the kernel reads (kPopcount: packed
+     * planes; kSimd: a zero-padded copy of the bytes), builds the BUI
+     * table, installs @p g, points the planes-consumed and keep
+     * outputs at @p planes_row / @p keep_row (indexed by key id) and
+     * clears the retained lists.
      */
     void start(std::span<const int8_t> row, QkKernel kernel, int bits,
                const GuardFilter &g, uint8_t *planes_row,
                uint8_t *keep_row);
 
     std::span<const int8_t> q;   //!< the row (kScalar)
-    QueryPlanes qplanes;         //!< packed planes (kPopcount, kSimd)
-    simd::QPlaneView view{};     //!< raw view (kSimd)
+    QueryPlanes qplanes;         //!< packed planes (kPopcount)
+    std::vector<int8_t> bytes;   //!< the row, zero-padded (kSimd)
     BuiTable bui;
     GuardFilter guard{1.0, 0.0, 1.0};
     uint8_t *planes_out = nullptr; //!< planes consumed per key id
@@ -142,11 +134,22 @@ struct ScanQuery
     std::vector<int> retained;     //!< retained key ids, scan order
     std::vector<int64_t> scores;   //!< their exact integer scores
 
-    /** The tile kernel's view of this row (valid while it lives). */
+    /** Words per key plane at this row's length: ceil(cols / 64). */
+    std::ptrdiff_t
+    words() const
+    {
+        return static_cast<std::ptrdiff_t>((q.size() + 63) / 64);
+    }
+
+    /**
+     * The tile kernel's view of this row, valid until the next
+     * start() (kSimd only).
+     */
     simd::TileRow
     tileRow()
     {
-        return {view, bui.lo.data(), bui.hi.data(), &guard};
+        return {{bytes.data(), static_cast<int>(q.size())}, bui.lo.data(),
+                bui.hi.data(), &guard};
     }
 };
 
@@ -210,15 +213,14 @@ scoreKey(QkKernelTag<K>, const ScanPlan &plan, ScanQuery &sq,
         plan.prune, [&](int r) -> int64_t {
             const int weight = r == 0 ? -(1 << (plan.bits - 1))
                                       : 1 << (plan.bits - 1 - r);
-            const uint64_t *plane =
-                kplanes + static_cast<std::ptrdiff_t>(r) * plan.stride;
+            const std::ptrdiff_t words = sq.words();
+            const uint64_t *plane = kplanes + r * words;
             if constexpr (K == QkKernel::kScalar)
                 return planeDeltaScalar(sq.q, plane, weight);
             else
                 return static_cast<int64_t>(weight) *
                     sq.qplanes.maskedSum(
-                        {plane, static_cast<std::size_t>(
-                                    sq.qplanes.wordsPerPlane())});
+                        {plane, static_cast<std::size_t>(words)});
         });
 }
 
@@ -255,8 +257,7 @@ scanTile(QkKernelTag<K> k, const ScanPlan &plan, ScanGroup &group,
     const std::size_t nrows = group.rows.size();
     PADE_DCHECK(static_cast<std::size_t>(n) * nrows <= group.out.size());
     if constexpr (K == QkKernel::kSimd)
-        plan.tile_kernel({kplanes, plan.keyStride(), plan.stride,
-                          plan.bits, plan.bits, n, plan.prune},
+        plan.tile_kernel({kplanes, plan.bits, plan.bits, n, plan.prune},
                          group.tile_rows, group.out.data());
     // Local sums: the byte stores below may alias anything, so
     // counters kept in st would be reloaded after every one.
@@ -275,7 +276,7 @@ scanTile(QkKernelTag<K> k, const ScanPlan &plan, ScanGroup &group,
                 ks = group.out[static_cast<std::size_t>(i) * nrows + g];
             else
                 ks = scoreKey(k, plan, sq,
-                              kplanes + i * plan.keyStride());
+                              kplanes + i * plan.bits * sq.words());
             const WorkPrefix done = w[ks.planes - 1];
             planes += static_cast<uint64_t>(ks.planes);
             ops_bs += done.bs;

@@ -129,8 +129,7 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
     }
 
     const MatrixF vf = dequantize(head.v);
-    const ScanPlan plan(kernel, bits, head.k_planes.planeStride(),
-                        cfg.guard_enabled);
+    const ScanPlan plan(kernel, bits, cfg.guard_enabled);
     ScanQuery &sq = ws.query;
 
     ws.tile_scores.resize(static_cast<size_t>(cfg.tile_bc));

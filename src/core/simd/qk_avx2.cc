@@ -62,7 +62,7 @@ valuePlaneSum16(const int8_t *values, const uint64_t *mask, int c0,
     for (int c = c0; c < c1; c++) {
         const __m256i v = _mm256_and_si256(
             expandMask32(mask, c),
-            _mm256_load_si256(reinterpret_cast<const __m256i *>(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
                 values + static_cast<std::size_t>(c) * 32)));
         acc16 = _mm256_add_epi16(acc16,
                                  _mm256_maddubs_epi16(ones, v));
@@ -92,8 +92,8 @@ widen16(__m256i acc16)
  * Value-domain maskedSum of chunks [c0, c1) of one key plane, c1 - c0
  * at most kMaxChunksPerFlush. Chunk counts derive from cols, so at
  * most 4 * ceil(cols/32) <= 8 * words mask bytes are read — never
- * past the caller's span. The query byte mirror's zero padding
- * absorbs mask bits between cols and the chunk boundary.
+ * past the key plane. The query row's zero padding absorbs mask bits
+ * between cols and the chunk boundary.
  * Force-inlined: the per-key kernel calls it once per key plane.
  */
 PADE_ALWAYS_INLINE int64_t
@@ -149,9 +149,6 @@ scanTileAvx2(const Tile &tile, std::span<const TileRow> rows,
                             });
     scanTileWith(tile, rows, out,
                  [chunks](const QPlaneView &q, const uint64_t *mask) {
-                     assert(reinterpret_cast<std::uintptr_t>(q.values) %
-                                32 ==
-                            0);
                      assert((q.cols + 31) / 32 == chunks);
                      return blockSum(q.values, mask, 0, chunks);
                  });
@@ -162,29 +159,19 @@ scanTileAvx2(const Tile &tile, std::span<const TileRow> rows,
 
 #else // !PADE_HAVE_AVX2: portable stubs with identical semantics.
 
-#include <bit>
-
 namespace pade {
 namespace simd {
 namespace {
 
+/** Sum of the query bytes one key plane selects (set-bit walk). */
 int64_t
-maskedSumPortable(const QPlaneView &q, const uint64_t *mask, int words)
+selectedSum(const QPlaneView &q, const uint64_t *mask)
 {
-    int64_t pos = 0;
-    int64_t neg = 0;
-    for (int t = 0; t < q.bits; t++) {
-        const uint64_t *qp =
-            q.planes + static_cast<std::size_t>(t) * q.stride;
-        int64_t ones = 0;
-        for (int w = 0; w < words; w++)
-            ones += std::popcount(qp[w] & mask[w]);
-        if (t == 0)
-            neg = ones;
-        else
-            pos += ones << (q.bits - 1 - t);
-    }
-    return pos - (neg << (q.bits - 1));
+    int64_t sum = 0;
+    for (int w = 0; w < (q.cols + 63) / 64; w++)
+        for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1)
+            sum += q.values[w * 64 + __builtin_ctzll(bits)];
+    return sum;
 }
 
 } // namespace
@@ -199,11 +186,7 @@ void
 scanTileAvx2(const Tile &tile, std::span<const TileRow> rows,
              KeyScore *out)
 {
-    scanTileWith(tile, rows, out,
-                 [](const QPlaneView &q, const uint64_t *mask) {
-                     return maskedSumPortable(q, mask,
-                                              (q.cols + 63) / 64);
-                 });
+    scanTileWith(tile, rows, out, selectedSum);
 }
 
 } // namespace simd

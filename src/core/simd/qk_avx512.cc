@@ -106,7 +106,7 @@ lane0(__m512i v)
 /**
  * Elements the query bytes of one 64-element word are loaded through:
  * all 64, except the row's last word when cols is not a multiple of
- * 64 (the byte mirror is only padded to 32 bytes).
+ * 64 (the query row is only padded to 32 bytes).
  */
 inline __mmask64
 wordLoadMask(int cols, int w)
@@ -134,6 +134,8 @@ scanRow(const Tile &tile, const TileRow &row, KeyScore *out,
 {
     const int nplanes = tile.nplanes;
     const int words = (row.q.cols + 63) / 64;
+    const std::ptrdiff_t key_words =
+        static_cast<std::ptrdiff_t>(tile.kbits) * words;
     const __mmask8 valid = static_cast<__mmask8>((1u << nplanes) - 1);
     const __mmask8 prunable = tile.prune ? valid : 0;
     const unsigned last = 1u << (nplanes - 1);
@@ -165,7 +167,7 @@ scanRow(const Tile &tile, const TileRow &row, KeyScore *out,
     int64_t c = hsum64(qsum_biased) << (tile.kbits - 1);
     for (int p = 0; p < kMaxTilePlanes; p++) {
         offset[p] = static_cast<std::ptrdiff_t>(std::min(p, nplanes - 1)) *
-            tile.plane_stride;
+            words;
         shift[p] = std::max(0, tile.kbits - 1 - p);
         if (p > 0)
             c += bias << shift[p];
@@ -190,7 +192,7 @@ scanRow(const Tile &tile, const TileRow &row, KeyScore *out,
     uint64_t updates = 0;
 
     for (int i = 0; i < tile.keys; i++) {
-        const uint64_t *kp = tile.kplanes + i * tile.key_stride;
+        const uint64_t *kp = tile.kplanes + key_words * i;
         // Plane p's biased byte sums in a[p]: a masked byte select
         // (other bytes read 128) and vpsadbw per plane and word,
         // folded into lanes = planes every kWordsPerSum words. The

@@ -25,7 +25,7 @@
  *    loops its per-pair body through guardedKeyScore. Per key plane,
  *    32 mask bits at a time are broadcast (vpbroadcastd), fanned out
  *    to a byte select (vpshufb + bit-test vpcmpeqb), ANDed with the
- *    query's byte mirror and accumulated pairwise into 16-bit lanes
+ *    query's bytes and accumulated pairwise into 16-bit lanes
  *    with vpmaddubsw: one pass over head_dim bytes per key plane. The
  *    lanes are widened to 32 bits every 127 chunks (4064 elements),
  *    before they can wrap, so any row length is exact.
@@ -53,23 +53,15 @@ namespace pade {
 namespace simd {
 
 /**
- * Raw view of a QueryPlanes object (QueryPlanes owns the invariants):
- *  - plane t of planes starts at offset t * stride;
- *  - stride is a multiple of 4 words and the pointers are 32-byte
- *    aligned, so plane rows support aligned 32-byte loads;
- *  - padding words beyond the logical row length are zero;
- *  - values holds the cols int8 elements the planes decompose
- *    (exactly their plane reconstruction, so plane-domain and
- *    value-domain sums agree bit for bit), 32-byte aligned and
- *    zero-padded to the next 32-byte boundary.
+ * The query row a tile kernel reads: its int8 values, zero-padded to
+ * the next 32-byte boundary past cols (the AVX2 kernel loads whole
+ * 32-byte chunks). The row's length also fixes the key layout: a key
+ * plane is ceil(cols / 64) words.
  */
 struct QPlaneView
 {
-    const uint64_t *planes; //!< packed query planes
-    const int8_t *values;   //!< byte mirror of the query row
-    int stride;             //!< words between consecutive planes
-    int bits;               //!< number of query planes
-    int cols;               //!< logical row length in elements
+    const int8_t *values; //!< the query row, zero-padded
+    int cols;             //!< row length in elements
 };
 
 /** One query row of a tile scan: its query, BUI table and guard. */
@@ -85,21 +77,18 @@ struct TileRow
 inline constexpr int kMaxTilePlanes = 8;
 
 /**
- * One tile: @p keys keys whose planes sit at kplanes + i * key_stride
- * (key i), plane p of a key at + p * plane_stride, with weight
- * -2^{kbits-1} (p = 0) or 2^{kbits-1-p}. Planes 0 .. nplanes - 1 are
- * scored (nplanes <= kbits <= kMaxTilePlanes). With prune clear the
- * guard observes every plane and nothing stops early (the dense
- * ablation, and partialDotSimd).
- *
- * Key plane rows may be caller memory of exactly ceil(cols / 64)
- * words each: no kernel reads past a row's logical words.
+ * One tile: @p keys keys stored back to back from kplanes in
+ * BitPlaneSet's layout — with words = ceil(cols / 64) of the rows
+ * scoring them, key i's planes start at kplanes + i * kbits * words
+ * and plane p of a key at + p * words — with weight -2^{kbits-1}
+ * (p = 0) or 2^{kbits-1-p}. Planes 0 .. nplanes - 1 are scored
+ * (nplanes <= kbits <= kMaxTilePlanes). With prune clear the guard
+ * observes every plane and nothing stops early (the dense ablation).
+ * No kernel reads past a key plane's words.
  */
 struct Tile
 {
     const uint64_t *kplanes;
-    std::ptrdiff_t key_stride;
-    int plane_stride;
     int kbits;
     int nplanes;
     int keys;
@@ -148,9 +137,10 @@ scanTileWith(const Tile &tile, std::span<const TileRow> rows,
     const std::size_t nrows = rows.size();
     for (std::size_t g = 0; g < nrows; g++) {
         const TileRow &row = rows[g];
+        const std::ptrdiff_t words = (row.q.cols + 63) / 64;
         GuardFilter guard = *row.guard;
         for (int i = 0; i < tile.keys; i++) {
-            const uint64_t *kp = tile.kplanes + i * tile.key_stride;
+            const uint64_t *kp = tile.kplanes + i * tile.kbits * words;
             out[static_cast<std::size_t>(i) * nrows + g] =
                 guardedKeyScore(
                     guard, row.lo, row.hi, tile.nplanes, tile.prune,
@@ -158,10 +148,7 @@ scanTileWith(const Tile &tile, std::span<const TileRow> rows,
                         const int64_t w = p == 0
                             ? -(int64_t{1} << (tile.kbits - 1))
                             : int64_t{1} << (tile.kbits - 1 - p);
-                        return w *
-                            sum(row.q,
-                                kp + static_cast<std::ptrdiff_t>(p) *
-                                    tile.plane_stride);
+                        return w * sum(row.q, kp + p * words);
                     });
         }
         *row.guard = guard;

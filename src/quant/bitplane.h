@@ -10,18 +10,15 @@
  * by M_r = 2^{p-1-r} - 1 per element — the property the BUI (bit-wise
  * uncertainty interval) exploits.
  *
- * Planes are stored packed (64 bits/word) per (row, plane) with cached
- * popcounts, matching the accelerator's K-SRAM layout in which one SRAM
- * row holds the same bit plane across the hidden dimension (paper
- * Fig. 22).
+ * Planes are stored packed (64 bits/word) per (row, plane), matching
+ * the accelerator's K-SRAM layout in which one SRAM row holds the same
+ * bit plane across the hidden dimension (paper Fig. 22).
  *
- * Storage contract shared by BitPlaneSet and QueryPlanes: every plane
- * row starts on a 32-byte boundary (rows are kPlaneAlignWords words
- * apart and the backing store is 32-byte aligned), and the padding
- * words between the logical row length (wordsPerPlane()) and the
- * aligned stride are zero. Bits past the column count within the last
- * logical word are zero as well. plane() spans still cover exactly
- * wordsPerPlane() words, and no kernel reads the padding.
+ * Storage layout shared by BitPlaneSet and QueryPlanes: plane t of row
+ * r is the wordsPerPlane() = ceil(cols / 64) words at word
+ * (r * bits + t) * wordsPerPlane(), with no padding between planes or
+ * rows, so a row's planes are one contiguous block. Bits past the
+ * column count within a plane's last word are zero.
  */
 
 #ifndef PADE_QUANT_BITPLANE_H
@@ -33,29 +30,10 @@
 #include <span>
 #include <vector>
 
-#include "common/aligned.h"
 #include "common/check.h"
 #include "tensor/matrix.h"
 
 namespace pade {
-
-namespace simd {
-struct QPlaneView;
-}
-
-/** Plane rows start this many words apart (32 bytes: one YMM load). */
-inline constexpr int kPlaneAlignWords = 4;
-
-/** Round a word count up to the aligned plane stride. */
-constexpr int
-planeStrideWords(int words)
-{
-    return (words + kPlaneAlignWords - 1) / kPlaneAlignWords *
-        kPlaneAlignWords;
-}
-
-/** Backing store of packed planes: 32-byte aligned uint64 words. */
-using PlaneStore = std::vector<uint64_t, AlignedAllocator<uint64_t, 32>>;
 
 /**
  * Packed bit planes of an integer matrix (rows = keys/tokens).
@@ -66,7 +44,8 @@ class BitPlaneSet
     /**
      * Decompose @p m into @p bits planes (MSB first).
      *
-     * @param m int8 matrix; for bits < 8, all values must fit the range.
+     * @param m int8 matrix; for bits < 8, all values must fit the
+     *        range (PADE_CHECKed row by row, see appendToken()).
      * @param bits total bit-width p in [2, 8].
      */
     explicit BitPlaneSet(const MatrixI8 &m, int bits = 8);
@@ -83,11 +62,13 @@ class BitPlaneSet
     /**
      * Append one token's @p row as a new bottom row, packing only that
      * row's bits: O(bits * cols) work, independent of the rows already
-     * stored. Rows packed this way are bit-identical (plane words,
-     * popcounts, padding) to the same rows packed by the matrix
-     * constructor — the invariant the incremental-decode parity tests
-     * enforce. @p row must hold exactly numCols() values in the
-     * bit-width's range.
+     * stored. Rows packed this way are bit-identical to the same rows
+     * packed by the matrix constructor — the invariant the
+     * incremental-decode parity tests enforce. @p row must hold
+     * exactly numCols() values in the bit-width's range
+     * [-2^{p-1}, 2^{p-1} - 1]; both are PADE_CHECKed in every build
+     * (a key outside it would be stored, and scored, as a different
+     * value). 8-bit rows cannot be out of range and skip the check.
      */
     void appendToken(std::span<const int8_t> row);
 
@@ -95,8 +76,6 @@ class BitPlaneSet
     int numCols() const { return cols_; }
     int numPlanes() const { return bits_; }
     int wordsPerPlane() const { return words_; }
-    /** Allocated words between consecutive plane rows (32B multiple). */
-    int planeStride() const { return stride_; }
 
     /**
      * Content identity token for derived-table caches. Drawn from a
@@ -112,17 +91,16 @@ class BitPlaneSet
 
     /**
      * All @c numPlanes() planes of @p row as one contiguous block:
-     * plane r starts at offset r * planeStride(). This is the key
-     * view the guarded scan and the SIMD tile kernels consume;
-     * the alignment/zero-padding contract of plane() applies to
-     * every row in the block.
+     * plane r starts at offset r * wordsPerPlane(), and the planes
+     * of row @p row + 1 start right after it. This is the key view the guarded scan
+     * and the SIMD tile kernels consume.
      */
     std::span<const uint64_t>
     rowPlanes(int row) const
     {
         PADE_DCHECK(row >= 0 && row < rows_);
         return {storage_.data() + planeIndex(row, 0),
-                static_cast<std::size_t>(bits_) * stride_};
+                static_cast<std::size_t>(bits_) * words_};
     }
 
     /** Signed weight of plane @p r: -2^{p-1} for r=0, else 2^{p-1-r}. */
@@ -137,16 +115,8 @@ class BitPlaneSet
     /** Bit of element (row, col) on plane r. */
     bool bit(int row, int r, int col) const;
 
-    /**
-     * Packed words of plane r of @p row. The data pointer is 32-byte
-     * aligned and the words from .size() up to the aligned stride are
-     * readable and zero (see the storage contract in the file
-     * comment).
-     */
+    /** Packed words of plane r of @p row (wordsPerPlane() words). */
     std::span<const uint64_t> plane(int row, int r) const;
-
-    /** Cached popcount of plane r of @p row. */
-    int popcount(int row, int r) const;
 
     /**
      * Partial reconstruction of element (row, col) using planes 0..r
@@ -162,7 +132,7 @@ class BitPlaneSet
     std::size_t
     planeIndex(int row, int r) const
     {
-        return (static_cast<std::size_t>(row) * bits_ + r) * stride_;
+        return (static_cast<std::size_t>(row) * bits_ + r) * words_;
     }
 
     /** Next unused revision token (see revision()). */
@@ -171,11 +141,9 @@ class BitPlaneSet
     int rows_ = 0;
     int cols_ = 0;
     int bits_ = 8;
-    int words_ = 0;  //!< logical words per plane: ceil(cols / 64)
-    int stride_ = 0; //!< allocated words per plane (32-byte multiple)
+    int words_ = 0; //!< words per plane: ceil(cols / 64)
     uint64_t revision_ = 0;
-    PlaneStore storage_;
-    std::vector<int> popcounts_;
+    std::vector<uint64_t> storage_;
 };
 
 /**
@@ -197,8 +165,9 @@ class BitPlaneSet
  * minimal bit-width covering the row's value range, so e.g. INT4-range
  * queries cost 4 plane ANDs instead of 8.
  *
- * Storage follows the same alignment contract as BitPlaneSet (32-byte
- * aligned plane rows, zero padding to the aligned stride).
+ * Storage follows BitPlaneSet's layout (one row: plane t at word
+ * t * wordsPerPlane()). Only the kPopcount kernel reads it; the SIMD
+ * tile kernels read the query's own bytes.
  */
 class QueryPlanes
 {
@@ -214,30 +183,12 @@ class QueryPlanes
     int numCols() const { return cols_; }
     int numPlanes() const { return bits_; }
     int wordsPerPlane() const { return words_; }
-    /** Allocated words between consecutive plane rows (32B multiple). */
-    int planeStride() const { return stride_; }
-
-    /**
-     * Raw pointer view handed to the SIMD kernels (packed planes plus
-     * the byte value mirror, built lazily on the first call after
-     * assign() so non-SIMD executions never pay for it). Only valid
-     * while this object is alive and unmodified. Not thread-safe —
-     * like the rest of QueryPlanes, one instance per worker thread.
-     */
-    simd::QPlaneView simdView() const;
 
     /** Signed weight of plane @p t: -2^{b-1} for t=0, else 2^{b-1-t}. */
     int planeWeight(int t) const;
 
     /** Bit of element @p col on plane @p t (tests/debugging). */
     bool bit(int t, int col) const;
-
-    /**
-     * Packed words of plane @p t; 32-byte-aligned data pointer, zero
-     * padding up to the aligned stride past .size() (the BitPlaneSet
-     * storage contract).
-     */
-    std::span<const uint64_t> plane(int t) const;
 
     /**
      * Word-parallel sum of the query values selected by a key bit
@@ -265,7 +216,7 @@ class QueryPlanes
         }
         const uint64_t *qw = storage_.data();
         int64_t sum = 0;
-        for (int t = 0; t < bits_; t++, qw += stride_) {
+        for (int t = 0; t < bits_; t++, qw += words_) {
             int64_t ones = 0;
             for (int w = 0; w < words_; w++)
                 ones += std::popcount(qw[w] & mask[w]);
@@ -292,34 +243,17 @@ class QueryPlanes
         // Sign plane (t = 0, weight -2^{b-1}) first, then the
         // non-negative planes with descending power-of-two weights.
         const int64_t neg = ones();
-        qw += stride_;
+        qw += W;
         int64_t pos = 0;
-        for (int t = 1; t < bits_; t++, qw += stride_)
+        for (int t = 1; t < bits_; t++, qw += W)
             pos += ones() << (bits_ - 1 - t);
         return pos - (neg << (bits_ - 1));
     }
 
     int cols_ = 0;
     int bits_ = 0;
-    int words_ = 0;  //!< logical words per plane: ceil(cols / 64)
-    int stride_ = 0; //!< allocated words per plane (32-byte multiple)
-    PlaneStore storage_;
-    /** Rebuild values_ from the packed planes (lazy, see simdView). */
-    void buildValues() const;
-
-    /**
-     * Byte mirror of the packed planes — element col is exactly the
-     * plane reconstruction sum_t planeWeight(t) * bit(t, col) — kept
-     * 32-byte aligned and zero-padded to a 32-byte boundary. Built
-     * lazily by simdView() (mutable: a deferred cache of const
-     * state): both SIMD tile kernels compute maskedSum directly
-     * in the value domain (select bytes by mask and sum them),
-     * touching one byte per element instead of one plane bit per
-     * (plane, element). Never built when no
-     * SIMD kernel runs.
-     */
-    mutable std::vector<int8_t, AlignedAllocator<int8_t, 32>> values_;
-    mutable bool values_valid_ = false;
+    int words_ = 0; //!< words per plane: ceil(cols / 64)
+    std::vector<uint64_t> storage_;
 };
 
 /**
@@ -342,15 +276,6 @@ int64_t partialDot(const QueryPlanes &q, const BitPlaneSet &keys,
 int64_t partialDotScalar(std::span<const int8_t> q,
                          const BitPlaneSet &keys, int row, int r);
 
-/**
- * partialDot through the QkKernel::kSimd tile kernel with pruning off
- * (AVX-512BW or AVX2, see core/simd/qk_simd.h); bit-identical to
- * partialDot()/partialDotScalar(), falls back to the popcount kernel
- * when no SIMD backend is available.
- */
-int64_t partialDotSimd(const QueryPlanes &q, const BitPlaneSet &keys,
-                       int row, int r);
-
 /** Exact dot product via all planes (equals integer QK^T). */
 int64_t exactDot(std::span<const int8_t> q, const BitPlaneSet &keys,
                  int row);
@@ -362,10 +287,6 @@ int64_t exactDot(const QueryPlanes &q, const BitPlaneSet &keys,
 /** Scalar reference for exactDot (see partialDotScalar). */
 int64_t exactDotScalar(std::span<const int8_t> q, const BitPlaneSet &keys,
                        int row);
-
-/** exactDot through the kSimd tile kernel (see partialDotSimd). */
-int64_t exactDotSimd(const QueryPlanes &q, const BitPlaneSet &keys,
-                     int row);
 
 } // namespace pade
 

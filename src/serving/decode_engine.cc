@@ -201,8 +201,7 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     // dead-middle keys.
     DecodeStep res;
     PruneStats st;
-    const ScanPlan plan(kernel, bits, planeStrideWords((h + 63) / 64),
-                        cfg_.guard_enabled);
+    const ScanPlan plan(kernel, bits, cfg_.guard_enabled);
     withQkKernel(kernel, [&](auto k) {
         const int page_tokens = kc.page_tokens;
         for (std::size_t o = 0; o < order_.size();) {

@@ -82,13 +82,13 @@ namespace pade {
  * un-evicted cache is bit-identical to full-history decode whenever
  * the window covers the whole history (the no-eviction parity test).
  *
- * Page reclamation only happens from the front of the stream
- * (KvCache::dropPagesBefore), so memory is actually returned when
- * sink_tokens tokens fit inside pages that also hold live recency
- * tokens — in practice, when sink_tokens == 0 (pure sliding window)
- * or the stream is short. With sinks pinned in page 0, the policy
- * still skips the dead middle's *scoring* — the plane deltas, guard
- * checks, and work accounting that dominate per-token cost.
+ * Reclamation is page-granular: a sink-free window drops whole pages
+ * from the front of the stream (KvCache::dropPagesBefore), and a
+ * sink-pinned one drops the whole pages of the dead middle between
+ * the sinks and the recency window (KvCache::dropPagesIn), so the
+ * pages holding the sinks stay resident. A page that still holds one
+ * live token stays; the dead tokens on it are skipped by the scan,
+ * never scored.
  *
  * Iteration is windowed too: when the policy is active, each step
  * generates only the live subsequence of the ISTA scan order

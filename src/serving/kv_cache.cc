@@ -54,7 +54,7 @@ kvPageBytes(const KvPage &page)
 {
     return static_cast<std::size_t>(page.cfg.page_tokens) *
         (static_cast<std::size_t>(page.planes.numPlanes()) *
-             page.planes.planeStride() * sizeof(uint64_t) +
+             page.planes.wordsPerPlane() * sizeof(uint64_t) +
          static_cast<std::size_t>(page.cfg.head_dim) * sizeof(float) +
          static_cast<std::size_t>(page.cfg.bits) * sizeof(WorkPrefix));
 }

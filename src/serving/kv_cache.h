@@ -11,9 +11,9 @@
  *  - keys live as `BitPlaneSet` pages grown with
  *    `BitPlaneSet::appendToken()`, so packing a new token costs
  *    O(bits * head_dim) regardless of the history length and is
- *    bit-identical to a from-scratch pack of the same rows (the
- *    storage contract the AVX2 QK backend relies on — 32-byte-aligned
- *    plane rows with zero padding — holds page by page);
+ *    bit-identical to a from-scratch pack of the same rows; a token's
+ *    planes take bits * ceil(head_dim / 64) words, unpadded, right
+ *    after the previous token's;
  *  - values live as dequantized float rows (the exact
  *    `scale * int8` floats `padeAttention`'s value stage consumes);
  *  - the query-independent per-(token, plane) work accounting — the
@@ -22,10 +22,11 @@
  *    instead of once per decode step, amortizing what
  *    `padeAttention` rebuilds per call.
  *
- * Pages are fixed at `page_tokens` rows and reserved up front
- * (`AlignedAllocator` storage), so an append never moves previously
- * stored planes: spans handed out by the accessors stay valid across
- * appendToken() calls.
+ * Pages are fixed at `page_tokens` rows and reserved up front, so an
+ * append never moves previously stored planes: spans handed out by
+ * the accessors stay valid across appendToken() calls. At head_dim 64
+ * and 8 bits a page token costs 352 B: 64 B of key planes, 256 B of
+ * float V row and 32 B of WorkPrefix rows (kvPageBytes()).
  *
  * Page sharing (cross-session prefix caching): pages are held through
  * `std::shared_ptr<KvPage>`, so a FULL page can be mapped read-only
@@ -66,10 +67,12 @@
  * There is deliberately no internal mutex: a lock per page access
  * would sit on the per-token hot path.
  *
- * Invariant checking: page liveness and append-shape violations are
- * PADE_CHECKs (armed in Release — a span handed out for a dropped
- * page means reading freed memory); per-token index arithmetic inside
- * the hot scan is PADE_DCHECK (test builds compile with -UNDEBUG).
+ * Invariant checking: page liveness, append shapes and key values
+ * outside the bit width's range are PADE_CHECKs (armed in Release —
+ * a span handed out for a dropped page means reading freed memory,
+ * and an out-of-range key would be scored as another value);
+ * per-token index arithmetic inside the hot scan is PADE_DCHECK
+ * (test builds compile with -UNDEBUG).
  */
 
 #ifndef PADE_SERVING_KV_CACHE_H

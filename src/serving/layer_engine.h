@@ -12,10 +12,11 @@
  *
  *  - exactly `kv_heads` KvCaches exist, so KV memory scales with
  *    kv_heads, not heads (an 8:1 group stores 1/8th the pages);
- *  - each cache's per-token PlaneWork table is computed once at
- *    append and reused by every query head of the group
- *    (DecodeEngine::stepGroup's key-outer scan) — the plane table is
- *    a KV-head property, never re-derived per query head;
+ *  - each cache's per-token WorkPrefix rows (the running work sums
+ *    the scan books at a key's stop plane) are computed once at
+ *    append and read by every query head of the group, one ISTA tile
+ *    at a time (DecodeEngine::stepGroup) — the work table is a
+ *    KV-head property, never re-derived per query head;
  *  - prefill *scores*: prefillChunk() runs guarded causal attention
  *    tile-by-tile as prompt chunks are appended, bit-identical to a
  *    whole-prompt `padeAttention(causal)` call per query head.

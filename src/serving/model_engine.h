@@ -47,8 +47,8 @@
  * session whose prompt starts with an already-served prefix skips
  * packing AND scoring those pages; sharePrefixPages() exports this
  * session's pages for publication (see serving/prefix_index.h).
- * Shared pages carry their cached PlaneWork and BitPlaneSet revision,
- * so every adopter scores them through the same plane tables.
+ * Shared pages carry their key planes and cached WorkPrefix rows, so
+ * every adopter scores them and books their work from the same rows.
  *
  * Rounds run as waves (WaveRunner, below): one wave opens a round on
  * every engine of a span, runs all of their units in one parallelFor,

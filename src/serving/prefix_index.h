@@ -5,12 +5,12 @@
  *
  * Thousands of concurrent sessions often share a prompt prefix (the
  * system prompt, few-shot examples, a common document). Without
- * sharing, every session re-packs, re-PlaneWorks, and re-scores that
+ * sharing, every session re-packs, re-books, and re-scores that
  * prefix privately — prefill compute and KV bytes both scale with
  * sessions instead of with *distinct* prefixes. This index is the
  * vLLM-style fix at PADE granularity: sessions whose prompts share a
  * prefix map read-only onto the same `KvPage`s (packed key planes +
- * dequantized values + the cached PlaneWork table), so a hot prefix
+ * dequantized values + the cached WorkPrefix rows), so a hot prefix
  * is packed and scored once for the whole fleet.
  *
  * Keying: the trie is page-granular. A prompt's identity is its
@@ -25,13 +25,12 @@
  * ends mid-page diverges by private re-append, the copy-on-write
  * fork point.
  *
- * Why the pages are sound cache values: `BitPlaneSet::revision()`
- * gives every page's plane set a process-unique content token, so
- * the `PadeWorkspace`/DecodeEngine plane-table reuse keyed on
- * (pointer, revision) treats a shared page identically in every
- * adopter — one PlaneWork table, scored once, bit-identical
- * everywhere. The index never mutates a published page, so a node's
- * revision is stable for its lifetime.
+ * Why the pages are sound cache values: a page carries everything the
+ * decode scan reads of it — key planes, value rows and the WorkPrefix
+ * rows computed once at append — so every adopter scores it
+ * identically, bit-identical everywhere. The index never mutates a
+ * published page, so a node's content (and its planes' revision()) is
+ * stable for its lifetime.
  *
  * Ref-counting: `acquire()` marks every matched node as read by one
  * more session; `release()` undoes exactly that (PADE_CHECKed — a

@@ -76,18 +76,20 @@ TEST(BitPlane, PartialReconstructConservative)
     }
 }
 
-TEST(BitPlane, PopcountMatchesBits)
+TEST(BitPlaneDeathTest, OutOfRangeKeyAbortsInEveryBuild)
 {
-    MatrixI8 m = randomInt8(3, 100, 12);
-    BitPlaneSet p(m, 8);
-    for (int row = 0; row < 3; row++) {
-        for (int r = 0; r < 8; r++) {
-            int count = 0;
-            for (int col = 0; col < 100; col++)
-                count += p.bit(row, r, col) ? 1 : 0;
-            EXPECT_EQ(p.popcount(row, r), count);
-        }
-    }
+    // A 4-bit set holds [-8, 7]; packing 8 or -9 would store another
+    // value, so the matrix constructor checks every row it packs.
+    const auto pack = [](int8_t v) {
+        MatrixI8 m(2, 3);
+        m.at(1, 2) = v;
+        const BitPlaneSet p(m, 4);
+        return p.reconstruct(1, 2, 3);
+    };
+    EXPECT_EQ(pack(7), 7);
+    EXPECT_EQ(pack(-8), -8);
+    EXPECT_DEATH(pack(8), "PADE_CHECK");
+    EXPECT_DEATH(pack(-9), "PADE_CHECK");
 }
 
 TEST(BitPlane, MsbPlaneIsSign)

@@ -10,8 +10,8 @@
  * built from planeDeltaScalar and GuardFilter.
  *
  * Every parity test also passes in non-AVX2 builds (or on non-AVX2
- * hosts): the *Simd entry points then fall back to the popcount
- * kernel, which must produce the same values anyway.
+ * hosts): directKernels() then holds only the portable AVX2 stub (or
+ * nothing), which must produce the same values anyway.
  */
 
 #include <gtest/gtest.h>
@@ -176,31 +176,6 @@ TEST(QkDispatch, EnvOverridesConfiguredKernel)
     }
 }
 
-TEST(QkDispatch, PlaneStorageIs32ByteAligned)
-{
-    // The alignment contract the SIMD backend relies on, checked
-    // through the public span accessors across tail shapes.
-    for (int cols : {1, 63, 65, 127, 129, 256, 300}) {
-        MatrixI8 k = randomRanged(3, cols, 8, 1000 + cols);
-        BitPlaneSet planes(k, 8);
-        for (int row = 0; row < 3; row++)
-            for (int r = 0; r < 8; r++)
-                EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
-                              planes.plane(row, r).data()) %
-                              32,
-                          0u)
-                    << "cols=" << cols;
-        MatrixI8 q = randomRanged(1, cols, 8, 2000 + cols);
-        const QueryPlanes qp(q.row(0));
-        for (int t = 0; t < qp.numPlanes(); t++)
-            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
-                          qp.plane(t).data()) %
-                          32,
-                      0u)
-                << "cols=" << cols;
-    }
-}
-
 /**
  * Parameterized over head_dim: every shape must be bit-identical
  * across all three kernels. The values deliberately straddle the
@@ -251,28 +226,6 @@ TEST_P(SimdTailTest, PlaneDeltaSimdMatchesScalar)
     }
 }
 
-TEST_P(SimdTailTest, PartialAndExactDotSimdMatchScalar)
-{
-    const int cols = GetParam();
-    for (int bits : {2, 4, 8}) {
-        MatrixI8 q = randomRanged(1, cols, 8, 90 + cols);
-        MatrixI8 k = randomRanged(3, cols, bits, 95 + cols);
-        BitPlaneSet planes(k, bits);
-        const QueryPlanes qp(q.row(0));
-        for (int j = 0; j < 3; j++) {
-            for (int r = 0; r < bits; r++)
-                EXPECT_EQ(partialDotSimd(qp, planes, j, r),
-                          partialDotScalar(q.row(0), planes, j, r))
-                    << "cols=" << cols << " bits=" << bits
-                    << " j=" << j << " r=" << r;
-            int64_t ref = 0;
-            for (int d = 0; d < cols; d++)
-                ref += static_cast<int64_t>(q.at(0, d)) * k.at(j, d);
-            EXPECT_EQ(exactDotSimd(qp, planes, j), ref);
-        }
-    }
-}
-
 /**
  * Independent oracle for one key of a guarded scan: planeDeltaScalar
  * per plane, folded through GuardFilter's own methods.
@@ -305,28 +258,35 @@ struct GuardCase
 };
 
 /**
- * One tile scan under test: score keys k0 .. k0 + n - 1 of @p keys
- * against every row of @p rows (started ScanQuery objects, guards
- * included) and write pair (i, g) to out[i * rows.size() + g].
+ * One tile scan under test: the kernel its rows are staged for
+ * (ScanQuery::start), and the call that scores keys k0 .. k0 + n - 1
+ * of @p keys against every row of @p rows (started ScanQuery objects,
+ * guards included) and writes pair (i, g) to out[i * rows.size() + g].
  */
-using TileRunner = std::function<void(
-    const ScanPlan &plan, std::span<ScanQuery> rows,
-    const BitPlaneSet &keys, int k0, int n, KeyScore *out)>;
+struct TileRunner
+{
+    QkKernel staging;
+    std::function<void(const ScanPlan &plan, std::span<ScanQuery> rows,
+                       const BitPlaneSet &keys, int k0, int n,
+                       KeyScore *out)>
+        run;
+};
 
 /** A raw SIMD tile kernel, called directly (not via tileKernel). */
 TileRunner
 directRunner(simd::TileKernel kernel)
 {
-    return [kernel](const ScanPlan &plan, std::span<ScanQuery> rows,
-                    const BitPlaneSet &keys, int k0, int n,
-                    KeyScore *out) {
-        std::vector<simd::TileRow> views;
-        for (ScanQuery &sq : rows)
-            views.push_back(sq.tileRow());
-        kernel({keys.rowPlanes(k0).data(), plan.keyStride(),
-                plan.stride, plan.bits, plan.bits, n, plan.prune},
-               views, out);
-    };
+    return {QkKernel::kSimd,
+            [kernel](const ScanPlan &plan, std::span<ScanQuery> rows,
+                     const BitPlaneSet &keys, int k0, int n,
+                     KeyScore *out) {
+                std::vector<simd::TileRow> views;
+                for (ScanQuery &sq : rows)
+                    views.push_back(sq.tileRow());
+                kernel({keys.rowPlanes(k0).data(), plan.bits, plan.bits,
+                        n, plan.prune},
+                       views, out);
+            }};
 }
 
 /** One expectTilesMatchReplay() configuration (see there). */
@@ -363,8 +323,7 @@ expectTileCase(const TileCase &tc, const TileRunner &run,
     MatrixI8 k = randomRanged(nkeys, tc.cols, tc.bits,
                               700 + tc.cols + tc.bits);
     const BitPlaneSet keys(k, tc.bits);
-    const ScanPlan plan(QkKernel::kSimd, tc.bits, keys.planeStride(),
-                        tc.prune);
+    const ScanPlan plan(run.staging, tc.bits, tc.prune);
     GuardFilter fresh(gc.alpha, gc.radius,
                       gc.logit_scale > 0.0 ? gc.logit_scale
                                            : 1.0 / (8.0 * tc.cols));
@@ -374,8 +333,8 @@ expectTileCase(const TileCase &tc, const TileRunner &run,
     std::vector<GuardFilter> ref(group, fresh);
     std::vector<BuiTable> bui;
     for (std::size_t g = 0; g < group; g++) {
-        rows[g].start(q.row(static_cast<int>(g)), QkKernel::kSimd,
-                      tc.bits, fresh, nullptr, nullptr);
+        rows[g].start(q.row(static_cast<int>(g)), run.staging, tc.bits,
+                      fresh, nullptr, nullptr);
         bui.push_back(computeBuiTable(q.row(static_cast<int>(g)),
                                       tc.bits));
     }
@@ -383,7 +342,7 @@ expectTileCase(const TileCase &tc, const TileRunner &run,
     int pruned = 0;
     for (int k0 = 0; k0 < nkeys; k0 += tc.tile) {
         const int n = std::min(tc.tile, nkeys - k0);
-        run(plan, rows, keys, k0, n, out.data());
+        run.run(plan, rows, keys, k0, n, out.data());
         for (int i = 0; i < n; i++)
             for (std::size_t g = 0; g < group; g++) {
                 const KeyScore want =
@@ -457,20 +416,46 @@ directKernels()
     return out;
 }
 
-/** Dense partial dot (planes 0..r of key @p row) through @p kernel. */
+/**
+ * Dense partial dot (planes 0..r of key @p row) of query row @p q
+ * through @p kernel, the row staged as the guarded scan stages it.
+ */
 int64_t
-partialDotVia(simd::TileKernel kernel, const QueryPlanes &qp,
+partialDotVia(simd::TileKernel kernel, std::span<const int8_t> q,
               const BitPlaneSet &keys, int row, int r)
 {
-    const int64_t no_bounds[simd::kMaxTilePlanes] = {};
-    GuardFilter guard(1.0, 0.0, 1.0);
-    const simd::TileRow view{qp.simdView(), no_bounds, no_bounds,
-                             &guard};
+    ScanQuery sq;
+    sq.start(q, QkKernel::kSimd, keys.numPlanes(),
+             GuardFilter(1.0, 0.0, 1.0), nullptr, nullptr);
+    const simd::TileRow view = sq.tileRow();
     KeyScore out{};
-    kernel({keys.rowPlanes(row).data(), 0, keys.planeStride(),
-            keys.numPlanes(), r + 1, 1, false},
+    kernel({keys.rowPlanes(row).data(), keys.numPlanes(), r + 1, 1, false},
            {&view, 1}, &out);
     return out.score;
+}
+
+TEST_P(SimdTailTest, PartialAndExactDotSimdMatchScalar)
+{
+    const int cols = GetParam();
+    for (int bits : {2, 4, 8}) {
+        MatrixI8 q = randomRanged(1, cols, 8, 90 + cols);
+        MatrixI8 k = randomRanged(3, cols, bits, 95 + cols);
+        BitPlaneSet planes(k, bits);
+        for (const simd::TileKernel kernel : directKernels())
+            for (int j = 0; j < 3; j++) {
+                for (int r = 0; r < bits; r++)
+                    EXPECT_EQ(partialDotVia(kernel, q.row(0), planes, j, r),
+                              partialDotScalar(q.row(0), planes, j, r))
+                        << "cols=" << cols << " bits=" << bits
+                        << " j=" << j << " r=" << r;
+                int64_t ref = 0;
+                for (int d = 0; d < cols; d++)
+                    ref += static_cast<int64_t>(q.at(0, d)) * k.at(j, d);
+                EXPECT_EQ(partialDotVia(kernel, q.row(0), planes, j,
+                                        bits - 1),
+                          ref);
+            }
+    }
 }
 
 TEST_P(SimdTailTest, PerKeyPopcountMatchesGuardedReplay)
@@ -479,15 +464,16 @@ TEST_P(SimdTailTest, PerKeyPopcountMatchesGuardedReplay)
     // same ScanQuery state the tile loop uses.
     expectTilesMatchReplay(
         GetParam(),
-        [](const ScanPlan &plan, std::span<ScanQuery> rows,
-           const BitPlaneSet &keys, int k0, int n, KeyScore *out) {
-            for (std::size_t g = 0; g < rows.size(); g++)
-                for (int i = 0; i < n; i++)
-                    out[static_cast<std::size_t>(i) * rows.size() + g] =
-                        scoreKey(QkKernelTag<QkKernel::kPopcount>{},
-                                 plan, rows[g],
-                                 keys.rowPlanes(k0 + i).data());
-        });
+        {QkKernel::kPopcount,
+         [](const ScanPlan &plan, std::span<ScanQuery> rows,
+            const BitPlaneSet &keys, int k0, int n, KeyScore *out) {
+             for (std::size_t g = 0; g < rows.size(); g++)
+                 for (int i = 0; i < n; i++)
+                     out[static_cast<std::size_t>(i) * rows.size() + g] =
+                         scoreKey(QkKernelTag<QkKernel::kPopcount>{},
+                                  plan, rows[g],
+                                  keys.rowPlanes(k0 + i).data());
+         }});
 }
 
 TEST_P(SimdTailTest, PerKeyAvx2MatchesGuardedReplay)
@@ -557,13 +543,13 @@ TEST(QkSimd, FirstKeyPrunedAtPlaneOne)
             replayGuardedKey(q.row(0), keys, 0, bui, replay, true);
         ASSERT_TRUE(want.pruned);
         ASSERT_EQ(want.planes, 1);
-        const ScanPlan plan(QkKernel::kSimd, 8, keys.planeStride(), true);
+        const ScanPlan plan(QkKernel::kSimd, 8, true);
         for (const simd::TileKernel kernel : directKernels()) {
             std::vector<ScanQuery> rows(1);
             rows[0].start(q.row(0), QkKernel::kSimd, 8, ref, nullptr,
                           nullptr);
             KeyScore out[4];
-            directRunner(kernel)(plan, rows, keys, 0, 4, out);
+            directRunner(kernel).run(plan, rows, keys, 0, 4, out);
             EXPECT_EQ(out[0].score, want.score);
             EXPECT_EQ(out[0].planes, 1);
             EXPECT_TRUE(out[0].pruned);
@@ -589,18 +575,19 @@ TEST(QkSimd, FirstObserveCountsAtLowestBound)
     const BitPlaneSet keys(k, 8);
     int64_t lo[simd::kMaxTilePlanes] = {INT64_MIN};
     const int64_t hi[simd::kMaxTilePlanes] = {};
-    const QueryPlanes qp(q.row(0));
+    ScanQuery sq;
+    sq.start(q.row(0), QkKernel::kSimd, 8, GuardFilter(1.0, 5.0, 1.0),
+             nullptr, nullptr);
     GuardFilter want(1.0, 5.0, 1.0);
     for (int r = 0; r < 8; r++)
         want.observe(0 + lo[r]);
     ASSERT_EQ(want.updates(), 2u);
     for (const simd::TileKernel kernel : directKernels()) {
         GuardFilter got(1.0, 5.0, 1.0);
-        const simd::TileRow row{qp.simdView(), lo, hi, &got};
+        const simd::TileRow row{sq.tileRow().q, lo, hi, &got};
         KeyScore out{};
-        kernel({keys.rowPlanes(0).data(), 0, keys.planeStride(), 8, 8, 1,
-                false},
-               {&row, 1}, &out);
+        kernel({keys.rowPlanes(0).data(), 8, 8, 1, false}, {&row, 1},
+               &out);
         EXPECT_EQ(out.score, 0);
         EXPECT_EQ(got.updates(), want.updates());
         EXPECT_EQ(got.maxLowerBound(), want.maxLowerBound());
@@ -610,8 +597,9 @@ TEST(QkSimd, FirstObserveCountsAtLowestBound)
 TEST(QkSimd, NarrowedQueryWidthsMatch)
 {
     // assign() without an explicit width narrows to the minimal
-    // covering range; the value mirror must reflect the (possibly
-    // truncated) plane reconstruction, keeping all kernels identical.
+    // covering range, which must still reconstruct the row exactly:
+    // the popcount kernel over the narrowed planes and the tile
+    // kernels over the row's bytes agree with the scalar oracle.
     for (int qbits : {2, 3, 4, 6, 8}) {
         const int cols = 130;
         MatrixI8 q = randomRanged(1, cols, qbits, 300 + qbits);
@@ -624,10 +612,10 @@ TEST(QkSimd, NarrowedQueryWidthsMatch)
             for (int r = 0; r < 8; r++) {
                 const int64_t ref =
                     partialDotScalar(q.row(0), planes, j, r);
-                EXPECT_EQ(partialDotSimd(qp, planes, j, r), ref)
+                EXPECT_EQ(partialDot(qp, planes, j, r), ref)
                     << "qbits=" << qbits;
                 for (const simd::TileKernel kernel : directKernels())
-                    EXPECT_EQ(partialDotVia(kernel, qp, planes, j, r),
+                    EXPECT_EQ(partialDotVia(kernel, q.row(0), planes, j, r),
                               ref)
                         << "qbits=" << qbits;
             }
@@ -636,22 +624,23 @@ TEST(QkSimd, NarrowedQueryWidthsMatch)
 
 TEST(QkSimd, ForcedWidthTruncationStaysConsistent)
 {
-    // A caller-forced width that truncates values must keep the
-    // plane-domain and value-domain kernels mutually consistent
-    // (both see the truncated reconstruction), so the reference is
-    // the popcount kernel over the truncated planes.
-    MatrixI8 q = randomRanged(1, 96, 8, 400);
-    MatrixI8 k = randomRanged(2, 96, 8, 401);
+    // A caller-forced width that truncates values packs each value's
+    // sign-extended low bits, so the popcount kernel scores exactly
+    // the truncated row.
+    const int cols = 96;
+    MatrixI8 q = randomRanged(1, cols, 8, 400);
+    MatrixI8 k = randomRanged(2, cols, 8, 401);
     BitPlaneSet planes(k, 8);
     QueryPlanes qp;
     qp.assign(q.row(0), 4); // truncates 8-bit values to 4 bits
+    std::vector<int8_t> truncated(cols);
+    for (int d = 0; d < cols; d++)
+        truncated[static_cast<std::size_t>(d)] = static_cast<int8_t>(
+            static_cast<int8_t>(q.at(0, d) << 4) >> 4);
     for (int j = 0; j < 2; j++)
-        for (int r = 0; r < 8; r++) {
-            const int64_t ref = partialDot(qp, planes, j, r);
-            EXPECT_EQ(partialDotSimd(qp, planes, j, r), ref);
-            for (const simd::TileKernel kernel : directKernels())
-                EXPECT_EQ(partialDotVia(kernel, qp, planes, j, r), ref);
-        }
+        for (int r = 0; r < 8; r++)
+            EXPECT_EQ(partialDot(qp, planes, j, r),
+                      partialDotScalar(truncated, planes, j, r));
 }
 
 TEST(QkSimd, AllOnesWideKeyDoesNotWrap)
@@ -669,22 +658,19 @@ TEST(QkSimd, AllOnesWideKeyDoesNotWrap)
         k.at(0, d) = -1;
     }
     const BitPlaneSet planes(k, 8);
-    const QueryPlanes qp(q.row(0));
     EXPECT_EQ(exactDotScalar(q.row(0), planes, 0), int64_t{128} * cols);
     for (int r = 0; r < 8; r++) {
         const int64_t ref = partialDotScalar(q.row(0), planes, 0, r);
-        EXPECT_EQ(partialDotSimd(qp, planes, 0, r), ref) << "r=" << r;
         for (const simd::TileKernel kernel : directKernels())
-            EXPECT_EQ(partialDotVia(kernel, qp, planes, 0, r), ref)
+            EXPECT_EQ(partialDotVia(kernel, q.row(0), planes, 0, r), ref)
                 << "r=" << r;
     }
 }
 
 TEST(QkSimd, ReusedQueryPlanesStayConsistent)
 {
-    // Workspace reuse across different shapes must rebuild the value
-    // mirror correctly (stale bytes from a longer previous row must
-    // not leak into the padding).
+    // Workspace reuse across different shapes must repack the planes
+    // from scratch: no bits of a longer previous row may survive.
     QueryPlanes qp;
     for (int cols : {300, 65, 128, 1, 257, 64}) {
         MatrixI8 q = randomRanged(1, cols, 8, 500 + cols, 0.8);
@@ -692,10 +678,41 @@ TEST(QkSimd, ReusedQueryPlanesStayConsistent)
         BitPlaneSet planes(k, 8);
         qp.assign(q.row(0));
         for (int j = 0; j < 2; j++) {
-            EXPECT_EQ(exactDotSimd(qp, planes, j),
+            EXPECT_EQ(exactDot(qp, planes, j),
                       exactDotScalar(q.row(0), planes, j))
                 << "cols=" << cols;
         }
+    }
+}
+
+TEST(QkSimd, ReusedScanQueryStaysConsistent)
+{
+    // The same for the bytes kSimd stages: a reused ScanQuery holds
+    // exactly the new row, zero-padded to 32 bytes, however long the
+    // previous row was.
+    ScanQuery sq;
+    for (int cols : {300, 65, 128, 1, 257, 64}) {
+        MatrixI8 q = randomRanged(1, cols, 8, 520 + cols, 0.8);
+        MatrixI8 k = randomRanged(2, cols, 8, 530 + cols);
+        BitPlaneSet planes(k, 8);
+        sq.start(q.row(0), QkKernel::kSimd, 8, GuardFilter(1.0, 0.0, 1.0),
+                 nullptr, nullptr);
+        ASSERT_EQ(sq.bytes.size(),
+                  static_cast<std::size_t>((cols + 31) / 32 * 32));
+        for (int d = 0; d < cols; d++)
+            EXPECT_EQ(sq.bytes[static_cast<std::size_t>(d)], q.at(0, d));
+        for (std::size_t d = static_cast<std::size_t>(cols);
+             d < sq.bytes.size(); d++)
+            EXPECT_EQ(sq.bytes[d], 0) << "cols=" << cols;
+        const simd::TileRow view = sq.tileRow();
+        for (const simd::TileKernel kernel : directKernels())
+            for (int j = 0; j < 2; j++) {
+                KeyScore out{};
+                kernel({planes.rowPlanes(j).data(), 8, 8, 1, false},
+                       {&view, 1}, &out);
+                EXPECT_EQ(out.score, exactDotScalar(q.row(0), planes, j))
+                    << "cols=" << cols;
+            }
     }
 }
 
