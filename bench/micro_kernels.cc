@@ -125,12 +125,50 @@ BM_ExactDotScalar(benchmark::State &state)
 BENCHMARK(BM_ExactDotScalar);
 
 /**
- * The guarded scan's SIMD tile kernels, called directly: one
- * 2048-key, head_dim 64, 8-bit key set scanned by a GQA group of 4
- * query heads in ISTA tiles of 16 keys, head-tail order, at the
- * default guard. Arg 0 runs scanTileAvx512, arg 1 scanTileAvx2
+ * The key set and query group both BM_ScanTile variants scan: 2048
+ * keys of 8-bit planes at @p head_dim, and a GQA group of 4 query
+ * heads staged for kSimd at the default guard, with the ISTA order of
+ * tiles of 16 keys, head-tail.
+ */
+struct ScanTileSetup
+{
+    static constexpr int kKeys = 2048;
+    static constexpr int kHeads = 4;
+
+    explicit ScanTileSetup(int head_dim)
+        : head([head_dim] {
+              WorkloadSpec spec;
+              spec.seq_len = kKeys;
+              spec.query_len = kHeads;
+              spec.head_dim = head_dim;
+              spec.seed = 42;
+              return quantizeHead(generateHead(spec));
+          }()),
+          plan(QkKernel::kSimd, 8, cfg.guard_enabled),
+          fresh(cfg.alpha, cfg.radius, head.logit_scale),
+          order(istaScanOrder(kKeys, cfg.tile_bc, cfg.head_tail)),
+          rows(kHeads)
+    {
+        for (int g = 0; g < kHeads; g++)
+            rows[g].start(head.q.values.row(g), QkKernel::kSimd, 8, fresh,
+                          nullptr, nullptr);
+    }
+
+    const PadeConfig cfg;
+    const QuantizedHead head;
+    const ScanPlan plan;
+    const GuardFilter fresh;
+    const std::vector<int> order;
+    std::vector<ScanQuery> rows;
+};
+
+/**
+ * The guarded scan's SIMD tile kernels, called directly: the
+ * ScanTileSetup key set scanned by its group of 4 query heads, one
+ * call per tile. Arg kernel 0 runs scanTileAvx512, 1 scanTileAvx2
  * (dispatch never picks AVX2 on an AVX-512 host, so this is where its
- * number comes from). Items are (key, head) pairs.
+ * number comes from); arg head_dim 64 is one key plane word, 128 two.
+ * Items are (key, head) pairs.
  */
 void
 BM_ScanTile(benchmark::State &state)
@@ -144,41 +182,83 @@ BM_ScanTile(benchmark::State &state)
     }
     const simd::TileKernel kernel =
         avx512 ? &simd::scanTileAvx512 : &simd::scanTileAvx2;
-    constexpr int kKeys = 2048;
-    constexpr int kHeads = 4;
-    const PadeConfig cfg;
-    WorkloadSpec spec;
-    spec.seq_len = kKeys;
-    spec.query_len = kHeads;
-    spec.head_dim = 64;
-    spec.seed = 42;
-    const QuantizedHead head = quantizeHead(generateHead(spec));
-    const ScanPlan plan(QkKernel::kSimd, 8, cfg.guard_enabled);
-    const GuardFilter fresh(cfg.alpha, cfg.radius, head.logit_scale);
-    std::vector<ScanQuery> rows(kHeads);
+    ScanTileSetup su(static_cast<int>(state.range(1)));
     std::vector<simd::TileRow> views;
-    for (int g = 0; g < kHeads; g++) {
-        rows[g].start(head.q.values.row(g), QkKernel::kSimd, 8, fresh,
-                      nullptr, nullptr);
-        views.push_back(rows[g].tileRow());
-    }
-    const std::vector<int> order =
-        istaScanOrder(kKeys, cfg.tile_bc, cfg.head_tail);
-    std::vector<KeyScore> out(
-        static_cast<std::size_t>(cfg.tile_bc) * kHeads);
+    for (ScanQuery &sq : su.rows)
+        views.push_back(sq.tileRow());
+    const int tile = su.cfg.tile_bc;
+    std::vector<KeyScore> out(static_cast<std::size_t>(tile) *
+                              ScanTileSetup::kHeads);
     for (auto _ : state) {
-        for (ScanQuery &sq : rows)
-            sq.guard = fresh;
-        for (std::size_t o = 0; o < order.size();
-             o += static_cast<std::size_t>(cfg.tile_bc))
-            kernel({head.k_planes.rowPlanes(order[o]).data(), 8, 8,
-                    cfg.tile_bc, plan.prune},
+        for (ScanQuery &sq : su.rows)
+            sq.guard = su.fresh;
+        for (std::size_t o = 0; o < su.order.size();
+             o += static_cast<std::size_t>(tile))
+            kernel({su.head.k_planes.rowPlanes(su.order[o]).data(), 8, 8,
+                    tile, su.plan.prune},
                    views, out.data());
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * kKeys * kHeads);
+    state.SetItemsProcessed(state.iterations() * ScanTileSetup::kKeys *
+                            ScanTileSetup::kHeads);
 }
-BENCHMARK(BM_ScanTile)->Arg(0)->Arg(1);
+BENCHMARK(BM_ScanTile)
+    ->ArgNames({"kernel", "head_dim"})
+    ->Args({0, 64})
+    ->Args({1, 64})
+    ->Args({0, 128})
+    ->Args({1, 128});
+
+/**
+ * BM_ScanTile as the decode step pays it: scanTile() with the CPU's
+ * tile kernel through a ScanGroup of the 4 heads, booking every
+ * (key, head) outcome from per-key WorkPrefix rows into planes and
+ * keep rows, retained lists and PruneStats, as DecodeEngine does.
+ * Each iteration restages the rows (ScanQuery::start), as a decode
+ * step does. Items are (key, head) pairs.
+ */
+void
+BM_ScanTileBooked(benchmark::State &state)
+{
+    if (!qkSimdAvailable()) {
+        state.SkipWithError("kSimd not available on this CPU");
+        return;
+    }
+    ScanTileSetup su(static_cast<int>(state.range(0)));
+    const int keys = ScanTileSetup::kKeys;
+    std::vector<WorkPrefix> work(static_cast<std::size_t>(keys) * 8);
+    for (int j = 0; j < keys; j++)
+        workPrefixRow(su.head.k_planes, j, su.cfg.subgroup, su.cfg.muxes,
+                      work.data() + static_cast<std::size_t>(j) * 8);
+    std::vector<std::vector<uint8_t>> planes(
+        ScanTileSetup::kHeads, std::vector<uint8_t>(keys));
+    std::vector<std::vector<uint8_t>> keep(ScanTileSetup::kHeads,
+                                           std::vector<uint8_t>(keys));
+    ScanGroup group;
+    PruneStats st;
+    const int tile = su.cfg.tile_bc;
+    for (auto _ : state) {
+        for (int g = 0; g < ScanTileSetup::kHeads; g++)
+            su.rows[g].start(su.head.q.values.row(g), QkKernel::kSimd, 8,
+                             su.fresh, planes[g].data(), keep[g].data());
+        group.bind(su.rows, tile);
+        for (std::size_t o = 0; o < su.order.size();) {
+            const int j = su.order[o];
+            const int n = tileRun(su.order, o, tile, keys);
+            scanTile(QkKernelTag<QkKernel::kSimd>{}, su.plan, group,
+                     su.head.k_planes.rowPlanes(j).data(),
+                     work.data() + static_cast<std::size_t>(j) * 8, j, n,
+                     st);
+            o += static_cast<std::size_t>(n);
+        }
+        benchmark::DoNotOptimize(st);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * keys *
+                            ScanTileSetup::kHeads);
+}
+BENCHMARK(BM_ScanTileBooked)->ArgName("head_dim")->Arg(64)->Arg(128);
 
 void
 BM_PlaneDeltaBs(benchmark::State &state)
@@ -224,6 +304,11 @@ BM_RarsSchedule(benchmark::State &state)
 }
 BENCHMARK(BM_RarsSchedule)->Arg(8)->Arg(32);
 
+/**
+ * Batch padeAttention of one head_dim 128 head (8 queries) under each
+ * QK kernel: the default (kSimd where the CPU has AVX2, else
+ * kPopcount), kScalar and kPopcount. Items are (key, query) pairs.
+ */
 void
 BM_PadeAttention(benchmark::State &state)
 {
@@ -257,12 +342,12 @@ BENCHMARK(BM_PadeAttentionScalarKernel)->Arg(512)->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_PadeAttentionSimdKernel(benchmark::State &state)
+BM_PadeAttentionPopcountKernel(benchmark::State &state)
 {
     const int s = static_cast<int>(state.range(0));
     const QuantizedHead head = makeHead(s, 128);
     PadeConfig cfg;
-    cfg.qk_kernel = QkKernel::kSimd; // resolves to popcount off-AVX2
+    cfg.qk_kernel = QkKernel::kPopcount;
     PadeWorkspace ws;
     for (auto _ : state) {
         const PadeResult res = padeAttention(head, cfg, &ws);
@@ -270,7 +355,7 @@ BM_PadeAttentionSimdKernel(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * s * 8);
 }
-BENCHMARK(BM_PadeAttentionSimdKernel)->Arg(512)->Arg(2048)
+BENCHMARK(BM_PadeAttentionPopcountKernel)->Arg(512)->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -255,44 +255,47 @@ scanTile(QkKernelTag<K> k, const ScanPlan &plan, ScanGroup &group,
          PruneStats &st)
 {
     const std::size_t nrows = group.rows.size();
+    const int bits = plan.bits;
     PADE_DCHECK(static_cast<std::size_t>(n) * nrows <= group.out.size());
     if constexpr (K == QkKernel::kSimd)
-        plan.tile_kernel({kplanes, plan.bits, plan.bits, n, plan.prune},
+        plan.tile_kernel({kplanes, bits, bits, n, plan.prune},
                          group.tile_rows, group.out.data());
-    // Local sums: the byte stores below may alias anything, so
-    // counters kept in st would be reloaded after every one.
+    // Rows outer, and everything the key loop reads or sums in locals:
+    // the byte stores below may alias anything, so a pointer or
+    // counter read through sq, group or st would be reloaded after
+    // every one.
+    const KeyScore *const results = group.out.data();
     uint64_t planes = 0;
     uint64_t ops_bs = 0;
     uint64_t ops_naive = 0;
     uint64_t kept = 0;
-    for (int i = 0; i < n; i++) {
-        const WorkPrefix *w =
-            work + static_cast<std::ptrdiff_t>(i) * plan.bits;
-        const int j = j0 + i;
-        for (std::size_t g = 0; g < nrows; g++) {
-            ScanQuery &sq = group.rows[g];
+    for (std::size_t g = 0; g < nrows; g++) {
+        ScanQuery &sq = group.rows[g];
+        uint8_t *const planes_out = sq.planes_out + j0;
+        uint8_t *const keep_out = sq.keep_out + j0;
+        const std::ptrdiff_t key_words = bits * sq.words();
+        for (int i = 0; i < n; i++) {
             KeyScore ks;
             if constexpr (K == QkKernel::kSimd)
-                ks = group.out[static_cast<std::size_t>(i) * nrows + g];
+                ks = results[static_cast<std::size_t>(i) * nrows + g];
             else
-                ks = scoreKey(k, plan, sq,
-                              kplanes + i * plan.bits * sq.words());
-            const WorkPrefix done = w[ks.planes - 1];
+                ks = scoreKey(k, plan, sq, kplanes + i * key_words);
+            const WorkPrefix done = work[i * bits + ks.planes - 1];
             planes += static_cast<uint64_t>(ks.planes);
             ops_bs += done.bs;
             ops_naive += done.naive;
-            sq.planes_out[j] = static_cast<uint8_t>(ks.planes);
+            planes_out[i] = static_cast<uint8_t>(ks.planes);
             if (!ks.pruned) {
-                sq.keep_out[j] = 1;
+                keep_out[i] = 1;
                 kept++;
-                sq.retained.push_back(j);
+                sq.retained.push_back(j0 + i);
                 sq.scores.push_back(ks.score);
             }
         }
     }
     const uint64_t pairs = static_cast<uint64_t>(n) * nrows;
     st.keys_total += pairs;
-    st.planes_total += pairs * static_cast<uint64_t>(plan.bits);
+    st.planes_total += pairs * static_cast<uint64_t>(bits);
     st.planes_processed += planes;
     st.ops_bs += ops_bs;
     st.ops_naive += ops_naive;

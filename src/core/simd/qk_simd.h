@@ -16,11 +16,18 @@
  *  - scanTileAvx512 (qk_avx512.cc, -mavx512f -mavx512bw) scores every
  *    plane of every pair with no branch. A key plane word *is* a
  *    __mmask64: a masked byte select of the query's biased bytes and
- *    vpsadbw give one plane's sum per 64 elements, and a transpose of
- *    the eight plane sums puts plane r in lane r. Weighted prefix
- *    sums, the BUI bounds, the running maximum of the lower bounds
- *    and the threshold are then lane-wise, and the stop plane is one
- *    compare of the upper bounds against the threshold and a tzcnt.
+ *    vpsadbw give one plane's sum per 64 elements. Rows go two per
+ *    vector in 32-bit lanes (row A's eight planes in lanes 0-7, row
+ *    B's in lanes 8-15), and two such pairs share each key, so a
+ *    key's plane masks load once for four rows. Weighted prefix sums,
+ *    the BUI bounds, the running maximum of the lower bounds and the
+ *    threshold are then lane-wise per row, and each row's stop plane
+ *    is one compare of the upper bounds against the threshold and a
+ *    tzcnt. 32 bits are exact because, with kbits * head_dim <=
+ *    kMaxWorkPrefixElems, every lane value stays inside +-2^30 and a
+ *    margin past 2^31 - 1 can saturate; a row whose guard max or BUI
+ *    bounds would leave that range, and a lone or odd row, run the
+ *    same steps alone in 64-bit lanes.
  *  - scanTileAvx2 (qk_avx2.cc, -mavx2), for CPUs without AVX-512BW,
  *    loops its per-pair body through guardedKeyScore. Per key plane,
  *    32 mask bits at a time are broadcast (vpbroadcastd), fanned out

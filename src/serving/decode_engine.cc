@@ -142,14 +142,27 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     // whole step is O(window), not O(context). The buffers stay
     // full-length (grow-only, zero-filled) to preserve the
     // lastPlanes()/lastKeep() contract that untouched tokens read 0.
+    //
+    // The order itself depends only on (order_len, sink tokens, window
+    // start), tile_bc and head_tail being fixed per engine, so it is
+    // rebuilt only when one of them moved: every position of a
+    // full-history prompt reuses one build, while a decode step's
+    // length grows by one and rebuilds.
+    const auto buildOrder = [&](int sink, int start) {
+        const OrderKey key{order_len, sink, start};
+        if (key == order_key_)
+            return;
+        istaScanOrderInto(order_len, cfg_.tile_bc, cfg_.head_tail, sink,
+                          start, order_);
+        order_key_ = key;
+    };
     if (!windowed) {
         for (int gi = 0; gi < g; gi++) {
             HeadState &hs = heads_[static_cast<std::size_t>(gi)];
             hs.planes.assign(static_cast<std::size_t>(order_len), 0);
             hs.keep.assign(static_cast<std::size_t>(order_len), 0);
         }
-        istaScanOrderInto(order_len, cfg_.tile_bc, cfg_.head_tail, 0, 0,
-                          order_);
+        buildOrder(0, 0);
     } else {
         for (int gi = 0; gi < g; gi++) {
             HeadState &hs = heads_[static_cast<std::size_t>(gi)];
@@ -167,9 +180,7 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
                                0);
             }
         }
-        istaScanOrderInto(order_len, cfg_.tile_bc, cfg_.head_tail,
-                          retention_.sink_tokens,
-                          retention_.horizon(stream_len), order_);
+        buildOrder(retention_.sink_tokens, retention_.horizon(stream_len));
         // Conservative write-set: the scan below only writes at
         // positions of order_ (causal/evicted skips leave zeros, and
         // re-clearing a zero is harmless).

@@ -277,6 +277,16 @@ class DecodeEngine
     std::vector<ScanQuery> scans_; //!< per query head, contiguous
     ScanGroup group_scan_;         //!< scans_ as one tile-scan group
     OnlineSoftmaxRow softmax_{0};
+    /** What order_ was built for: istaScanOrderInto's length, sink
+     *  tokens and window start (len -1: never built). */
+    struct OrderKey
+    {
+        int len = -1;
+        int sink = 0;
+        int start = 0;
+        bool operator==(const OrderKey &) const = default;
+    };
+    OrderKey order_key_;
     std::vector<int> order_;
     std::vector<float> tile_scores_;
     std::vector<std::span<const float>> tile_rows_;

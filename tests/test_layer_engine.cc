@@ -728,6 +728,64 @@ TEST(Retention, SlidingWindowScansOnlyTheWindowAndReclaimsPages)
         EXPECT_TRUE(std::isfinite(v));
 }
 
+TEST(Retention, WindowedDecodeWorkIsFlatInContext)
+{
+    // perf_suite's windowed-decode flatness as counts: under a sink 4 +
+    // recency 256 window, a decode step at 16384 tokens of context
+    // scans as many keys as one at 4096, and each query head visits
+    // (leaves a nonzero plane count at) as many tokens. The layer
+    // evicts after every append, as serving does.
+    RetentionPolicy window;
+    window.sink_tokens = 4;
+    window.recency_tokens = 256;
+    const int heads = 2;
+    const int head_dim = 32;
+    struct Work
+    {
+        int keys;
+        std::vector<long> visited; //!< per query head
+    };
+    const auto decodeAt = [&](int context) {
+        const LayerWorkload lw = generateLayerWorkload(
+            smallSpec(heads, 1, head_dim, 8, context, 1, 61));
+        LayerEngineConfig lc;
+        lc.heads = heads;
+        lc.kv_heads = 1;
+        lc.head_dim = head_dim;
+        lc.page_tokens = 64;
+        lc.retention = window;
+        const std::vector<float> v_scales{lw.groups[0].v.params.scale};
+        const std::vector<float> logit_scales{lw.groups[0].logit_scale};
+        LayerEngine layer(lc, v_scales);
+        MatrixI8 k(1, head_dim);
+        MatrixI8 v(1, head_dim);
+        MatrixI8 q(heads, head_dim);
+        MatrixF out(heads, head_dim);
+        for (int t = 0; t <= context; t++) {
+            lw.stageKv(t, k, v);
+            layer.appendToken(k, v);
+            layer.evict();
+        }
+        lw.stageQueries(context, q);
+        Work w{layer.decode(q, logit_scales, out).keys, {}};
+        for (int h = 0; h < heads; h++) {
+            const auto planes = layer.engine(0).lastPlanes(h);
+            w.visited.push_back(std::count_if(
+                planes.begin(), planes.end(),
+                [](uint8_t n) { return n != 0; }));
+        }
+        return w;
+    };
+    const Work small = decodeAt(4096);
+    const Work large = decodeAt(16384);
+    EXPECT_EQ(small.keys, window.sink_tokens + window.recency_tokens);
+    EXPECT_EQ(large.keys, small.keys);
+    for (int h = 0; h < heads; h++) {
+        EXPECT_EQ(small.visited[h], small.keys) << "head " << h;
+        EXPECT_EQ(large.visited[h], small.visited[h]) << "head " << h;
+    }
+}
+
 TEST(Retention, ScoredPrefillWindowIsChunkIndependent)
 {
     // The retention window during prefill anchors at the query's own

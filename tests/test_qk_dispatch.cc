@@ -188,6 +188,10 @@ class SimdTailTest : public ::testing::TestWithParam<int>
 {
 };
 
+// The masked-sum and plane-delta cases below call the kPopcount
+// kernel only (QueryPlanes::maskedSum, planeDelta(QueryPlanes, ...));
+// the SIMD kernels are covered by PerKeyAvx* and
+// PartialAndExactDotSimdMatchScalar. Their CTest IDs are kept stable.
 TEST_P(SimdTailTest, MaskedSumSimdMatchesOracle)
 {
     const int cols = GetParam();
@@ -255,6 +259,13 @@ struct GuardCase
     std::optional<int64_t> seed_max;
     /** The band prunes some 8-bit key (checked with pruning on). */
     bool prunes = true;
+    /**
+     * Applied to row 1's BUI table and guard (after staging, and the
+     * same to the replay's), when the group has a row 1.
+     */
+    std::function<void(std::span<const int8_t> q, int bits, BuiTable &bui,
+                       GuardFilter &guard)>
+        edge;
 };
 
 /**
@@ -338,6 +349,10 @@ expectTileCase(const TileCase &tc, const TileRunner &run,
         bui.push_back(computeBuiTable(q.row(static_cast<int>(g)),
                                       tc.bits));
     }
+    if (gc.edge && group > 1) {
+        gc.edge(q.row(1), tc.bits, rows[1].bui, rows[1].guard);
+        gc.edge(q.row(1), tc.bits, bui[1], ref[1]);
+    }
     std::vector<KeyScore> out(static_cast<std::size_t>(tc.tile) * group);
     int pruned = 0;
     for (int k0 = 0; k0 < nkeys; k0 += tc.tile) {
@@ -372,12 +387,13 @@ expectTileCase(const TileCase &tc, const TileRunner &run,
 /**
  * The tile sweep: at head_dim @p cols, every query width QueryPlanes
  * may narrow a row to (8 and 4 planes), key widths 2, 4 and 8,
- * pruning off and on, groups of 1 and 4 rows and tiles of 1, 7 and
- * 16 keys, each checked by expectTileCase(): score, planes consumed
- * and verdict per (key, row), and each row's guard maximum and
- * update count after every tile (per key at tile length 1). The
- * default guard band is narrow enough that both verdicts occur at
- * every head_dim.
+ * pruning off and on, groups of 1 to 4 rows (the AVX-512BW kernel
+ * scores a lone row alone, 2 as a pair, 3 as a pair and a lone row,
+ * 4 as two pairs) and tiles of 1, 7 and 16 keys, each checked by
+ * expectTileCase(): score, planes consumed and verdict per (key,
+ * row), and each row's guard maximum and update count after every
+ * tile (per key at tile length 1). The default guard band is narrow
+ * enough that both verdicts occur at every head_dim.
  */
 void
 expectTilesMatchReplay(int cols, const TileRunner &run,
@@ -386,7 +402,7 @@ expectTilesMatchReplay(int cols, const TileRunner &run,
     for (int qbits : {8, 4})
         for (int bits : {2, 4, 8})
             for (bool prune : {false, true})
-                for (int group : {1, 4})
+                for (int group : {1, 2, 3, 4})
                     for (int tile : {1, 7, 16}) {
                         const int pruned = expectTileCase(
                             {cols, qbits, bits, prune, group, tile}, run,
@@ -664,6 +680,175 @@ TEST(QkSimd, AllOnesWideKeyDoesNotWrap)
         for (const simd::TileKernel kernel : directKernels())
             EXPECT_EQ(partialDotVia(kernel, q.row(0), planes, 0, r), ref)
                 << "r=" << r;
+    }
+}
+
+/**
+ * The extreme lane values the AVX-512BW kernel's pair path would hold
+ * for a row (qk_avx512.cc): the lowest of lo[p] - corr[p] and
+ * hi[p] - corr[p] over the planes, and the highest plus U, the largest
+ * biased prefix score. corr[p] is the bias plane p's prefix carries:
+ * the row's biased byte sum (q + 128 per element, 128 past cols) times
+ * 2^{bits-1}, plus 128 * 64 per key word times each later plane's
+ * weight. The pair path takes the row only when both lie strictly
+ * inside +-2^30 and its guard max does too.
+ */
+struct PairLaneRange
+{
+    int64_t low;
+    int64_t high;
+};
+
+PairLaneRange
+pairLaneRange(std::span<const int8_t> q, int bits, const BuiTable &bui)
+{
+    const auto cols = static_cast<int64_t>(q.size());
+    const int64_t words = (cols + 63) / 64;
+    int64_t biased = 128 * (64 * words - cols);
+    for (int8_t x : q)
+        biased += x + 128;
+    const int64_t reach = 255 * 64 * words * ((int64_t{1} << bits) - 1);
+    int64_t corr = biased << (bits - 1);
+    PairLaneRange r{INT64_MAX, INT64_MIN};
+    for (int p = 0; p < bits; p++) {
+        if (p > 0)
+            corr += (128 * 64 * words) << std::max(0, bits - 1 - p);
+        for (int64_t bound : {bui.lo[p], bui.hi[p]}) {
+            r.low = std::min(r.low, bound - corr);
+            r.high = std::max(r.high, bound - corr + reach);
+        }
+    }
+    return r;
+}
+
+TEST(QkSimd, PairLaneEdgesMatchReplay)
+{
+    // Row 1 of each group sits at an edge of the pair path's lane
+    // range, while the group's other rows are ordinary: a guard max or
+    // BUI bounds just inside +-2^30 keep it paired with row 0, and
+    // just outside send it to the 64-bit row path beside its in-range
+    // partners. The bounds move by one constant per row, which shifts
+    // every lower bound, upper bound and the guard max alike, so the
+    // verdicts stay those of an ordinary row, now at the edge.
+    const int64_t edge = int64_t{1} << 30;
+    const auto shifted = [](int64_t (*target)(const PairLaneRange &)) {
+        return [target](std::span<const int8_t> q, int bits, BuiTable &bui,
+                        GuardFilter &) {
+            const int64_t d = target(pairLaneRange(q, bits, bui));
+            for (int p = 0; p < bits; p++) {
+                bui.lo[p] += d;
+                bui.hi[p] += d;
+            }
+        };
+    };
+    const auto seeded = [](int64_t max) {
+        return [max](std::span<const int8_t>, int, BuiTable &,
+                     GuardFilter &guard) { guard.observe(max); };
+    };
+    struct Edge
+    {
+        const char *what;
+        decltype(GuardCase::edge) apply;
+        bool saturated = false; //!< margin past 2^31 (radius 1e30)
+    };
+    const Edge edges[] = {
+        {"top lane 2^30 - 1",
+         shifted([](const PairLaneRange &r) { return (edge - 1) - r.high; })},
+        {"top lane 2^30",
+         shifted([](const PairLaneRange &r) { return edge - r.high; })},
+        {"bottom lane -2^30 + 1",
+         shifted([](const PairLaneRange &r) { return (1 - edge) - r.low; })},
+        {"bottom lane -2^30",
+         shifted([](const PairLaneRange &r) { return -edge - r.low; })},
+        {"guard max 2^30 - 1", seeded(edge - 1)},
+        {"guard max 2^30", seeded(edge)},
+        {"guard max -2^30 + 1", seeded(1 - edge)},
+        {"guard max -2^30", seeded(-edge)},
+        // Past 32 bits: bounds that a 32-bit lane cannot hold at all.
+        {"bottom lane 2^31",
+         shifted([](const PairLaneRange &r) { return 2 * edge - r.low; })},
+        // Inside 32 bits but past 2^30: with a margin saturated at
+        // 2^31 - 1, max - margin would read -1 and prune keys a 64-bit
+        // threshold never prunes.
+        {"guard max 2^31 - 2, saturated margin", seeded(2 * edge - 2),
+         true},
+    };
+    for (const Edge &e : edges) {
+        SCOPED_TRACE(e.what);
+        GuardCase gc;
+        gc.prunes = false;
+        gc.edge = e.apply;
+        if (e.saturated) {
+            gc.alpha = 1.0;
+            gc.radius = 1e30;
+            gc.logit_scale = 1.0;
+        }
+        for (const simd::TileKernel kernel : directKernels())
+            for (int cols : {64, 65, 128})
+                expectTilesMatchReplay(cols, directRunner(kernel), gc);
+    }
+    // The shifted rows' extremes land where the cases say.
+    MatrixI8 q = randomRanged(1, 64, 8, 777, 0.55);
+    GuardFilter unused(1.0, 5.0, 1.0);
+    const int64_t want[] = {edge - 1, edge, 1 - edge, -edge};
+    for (int c = 0; c < 4; c++) {
+        BuiTable bui = computeBuiTable(q.row(0), 8);
+        edges[c].apply(q.row(0), 8, bui, unused);
+        const PairLaneRange r = pairLaneRange(q.row(0), 8, bui);
+        EXPECT_EQ(c < 2 ? r.high : r.low, want[c]) << edges[c].what;
+    }
+}
+
+TEST(QkSimd, WidestLegalRowsScoreExactly)
+{
+    // bits * head_dim <= kMaxWorkPrefixElems (65535): at 8, 4 and 2
+    // bits the widest rows are 8191, 16383 and 32767 elements. Key 0
+    // is all ones (every element -1) against a query of all -128, 128
+    // per element; key 1 holds the largest value against a query of
+    // all 127, which puts the pair path's biased plane sums at their
+    // largest. Groups of 1, 2 and 4 rows run the row path, one pair
+    // and two pairs; every partial score must be exact.
+    for (const auto &[bits, cols] :
+         {std::pair{8, 8191}, std::pair{4, 16383}, std::pair{2, 32767}}) {
+        SCOPED_TRACE(testing::Message() << "bits=" << bits);
+        ASSERT_LE(bits * cols, kMaxWorkPrefixElems);
+        ASSERT_GT(bits * (cols + 1), kMaxWorkPrefixElems);
+        MatrixI8 q(2, cols);
+        MatrixI8 k(2, cols);
+        for (int d = 0; d < cols; d++) {
+            q.at(0, d) = -128;
+            k.at(0, d) = -1;
+            q.at(1, d) = 127;
+            k.at(1, d) = static_cast<int8_t>((1 << (bits - 1)) - 1);
+        }
+        const BitPlaneSet planes(k, bits);
+        EXPECT_EQ(exactDotScalar(q.row(0), planes, 0), int64_t{128} * cols);
+        for (int group : {1, 2, 4}) {
+            std::vector<ScanQuery> rows(static_cast<std::size_t>(group));
+            std::vector<simd::TileRow> views;
+            for (int g = 0; g < group; g++) {
+                rows[static_cast<std::size_t>(g)].start(
+                    q.row(g % 2), QkKernel::kSimd, bits,
+                    GuardFilter(1.0, 0.0, 1.0), nullptr, nullptr);
+                views.push_back(rows[static_cast<std::size_t>(g)].tileRow());
+            }
+            for (const simd::TileKernel kernel : directKernels())
+                for (int r = 0; r < bits; r++) {
+                    std::vector<KeyScore> out(
+                        2 * static_cast<std::size_t>(group));
+                    kernel({planes.rowPlanes(0).data(), bits, r + 1, 2,
+                            false},
+                           views, out.data());
+                    for (int key = 0; key < 2; key++)
+                        for (int g = 0; g < group; g++)
+                            EXPECT_EQ(
+                                out[static_cast<std::size_t>(key * group + g)]
+                                    .score,
+                                partialDotScalar(q.row(g % 2), planes, key, r))
+                                << "group=" << group << " key=" << key
+                                << " row=" << g << " r=" << r;
+                }
+        }
     }
 }
 
