@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "core/simd/qk_simd.h"
+
 namespace pade {
 
 OnlineSoftmaxRow::OnlineSoftmaxRow(int dim)
@@ -102,6 +104,29 @@ OnlineSoftmaxRow::update(std::span<const float> scores,
     for (size_t t = 0; t < scores.size(); t++)
         accumulate(scores[t],
                    values.row(first_row + static_cast<int>(t)));
+}
+
+void
+OnlineSoftmaxRow::update(std::span<const float> scores,
+                         std::span<const std::span<const int8_t>> values,
+                         float scale)
+{
+    assert(scores.size() == values.size());
+    if (scores.empty())
+        return;
+
+    float tile_max = scores[0];
+    for (float s : scores)
+        tile_max = std::max(tile_max, s);
+    absorbMax(tile_max);
+
+    const simd::ValueRowKernel row = simd::valueRowKernel();
+    for (size_t t = 0; t < scores.size(); t++) {
+        assert(static_cast<int>(values[t].size()) == dim_);
+        const float p = std::exp(scores[t] - m_);
+        l_ += p;
+        row(acc_.data(), values[t].data(), dim_, p, scale);
+    }
 }
 
 std::vector<float>

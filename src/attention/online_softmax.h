@@ -62,6 +62,17 @@ class OnlineSoftmaxRow
     void update(std::span<const float> scores, const MatrixF &values,
                 int first_row);
 
+    /**
+     * The value stage of padeAttention and DecodeEngine: scores[t]
+     * pairs with int8 row values[t], whose float row is
+     * scale * int8 as dequantize() computes it. The update is
+     * bit-identical to the float-row overloads over dequantize()d
+     * rows; the row loop is simd::valueRowKernel().
+     */
+    void update(std::span<const float> scores,
+                std::span<const std::span<const int8_t>> values,
+                float scale);
+
     /** Finalize: O / l. Valid once at least one score arrived. */
     std::vector<float> finalize() const;
 

@@ -128,11 +128,11 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
         ws.plane_work_builds++;
     }
 
-    const MatrixF vf = dequantize(head.v);
     const ScanPlan plan(kernel, bits, cfg.guard_enabled);
     ScanQuery &sq = ws.query;
 
     ws.tile_scores.resize(static_cast<size_t>(cfg.tile_bc));
+    ws.tile_values.resize(static_cast<size_t>(cfg.tile_bc));
     for (int i = 0; i < p; i++) {
         sq.start(head.q.values.row(i), kernel, bits,
                  GuardFilter(cfg.alpha, cfg.radius, head.logit_scale),
@@ -163,8 +163,10 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
         res.retained[i] = sq.retained;
 
         // ISTA value stage: online softmax over retained keys, tiled
-        // by Bc in retained (scan) order. Retained scores are exact.
-        // All buffers live in the workspace — no per-query allocation.
+        // by Bc in retained (scan) order, on the int8 V rows with the
+        // dequantization scale applied per element (the floats
+        // dequantize() would give). Retained scores are exact. All
+        // buffers live in the workspace — no per-query allocation.
         ws.softmax.reset(h);
         const std::span<const int> ids(res.retained[i]);
         for (size_t base = 0; base < ids.size();
@@ -172,12 +174,16 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
             const size_t hi = std::min(
                 ids.size(), base + static_cast<size_t>(cfg.tile_bc));
             const size_t n = hi - base;
-            for (size_t t = 0; t < n; t++)
+            for (size_t t = 0; t < n; t++) {
                 ws.tile_scores[t] = head.logit_scale *
                     static_cast<float>(sq.scores[base + t]);
+                ws.tile_values[t] = head.v.values.row(ids[base + t]);
+            }
             ws.softmax.update(
-                std::span<const float>(ws.tile_scores).first(n), vf,
-                ids.subspan(base, n));
+                std::span<const float>(ws.tile_scores).first(n),
+                std::span<const std::span<const int8_t>>(ws.tile_values)
+                    .first(n),
+                head.v.params.scale);
         }
         res.stats.max_updates += ws.softmax.maxUpdates();
         res.stats.rescale_ops += ws.softmax.rescaleOps();

@@ -17,6 +17,7 @@
 #define PADE_CORE_PADE_ATTENTION_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "attention/online_softmax.h"
@@ -76,6 +77,8 @@ struct PadeWorkspace
     ScanGroup group;                    //!< query as a group of one
     std::vector<WorkPrefix> plane_work; //!< (key, plane) running sums
     std::vector<float> tile_scores;     //!< ISTA tile logits
+    /** The tile's int8 V rows, paired with tile_scores. */
+    std::vector<std::span<const int8_t>> tile_values;
     OnlineSoftmaxRow softmax{0};        //!< value-stage accumulator
 
     /**

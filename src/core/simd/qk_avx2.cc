@@ -123,6 +123,26 @@ qkAvx2Compiled()
 }
 
 void
+valueRowAvx2(float *acc, const int8_t *v, int dim, float p, float scale)
+{
+    // -mavx2 carries no FMA, so the multiplies and the add round one
+    // by one, as valueRowScalar's do.
+    const __m256 vp = _mm256_set1_ps(p);
+    const __m256 vs = _mm256_set1_ps(scale);
+    int d = 0;
+    for (; d + 8 <= dim; d += 8) {
+        const __m256 x = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(v + d))));
+        const __m256 a = _mm256_loadu_ps(acc + d);
+        _mm256_storeu_ps(acc + d,
+                         _mm256_add_ps(a, _mm256_mul_ps(
+                                              vp, _mm256_mul_ps(vs, x))));
+    }
+    for (; d < dim; d++)
+        acc[d] += p * (scale * static_cast<float>(v[d]));
+}
+
+void
 scanTileAvx2(const Tile &tile, std::span<const TileRow> rows,
              KeyScore *out)
 {
@@ -180,6 +200,12 @@ bool
 qkAvx2Compiled()
 {
     return false;
+}
+
+void
+valueRowAvx2(float *acc, const int8_t *v, int dim, float p, float scale)
+{
+    valueRowScalar(acc, v, dim, p, scale);
 }
 
 void

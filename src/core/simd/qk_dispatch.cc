@@ -71,6 +71,25 @@ simd::tileKernel()
     return kernel;
 }
 
+void
+simd::valueRowScalar(float *acc, const int8_t *v, int dim, float p,
+                     float scale)
+{
+    for (int d = 0; d < dim; d++)
+        acc[d] += p * (scale * static_cast<float>(v[d]));
+}
+
+simd::ValueRowKernel
+simd::valueRowKernel()
+{
+    static const ValueRowKernel kernel = [] {
+        const CpuFeatures &f = cpuFeatures();
+        return qkAvx2Compiled() && f.avx2 && f.os_ymm ? &valueRowAvx2
+                                                      : &valueRowScalar;
+    }();
+    return kernel;
+}
+
 QkKernel
 defaultQkKernel()
 {

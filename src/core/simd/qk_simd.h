@@ -45,6 +45,11 @@
  * (PADE_AVX2=OFF, or a compiler without the flags) its file builds a
  * portable fallback with the same results and its *Compiled()
  * predicate reports false.
+ *
+ * The AVX2 file also holds the value stage's row update
+ * (valueRowAvx2), chosen by valueRowKernel() the same way. It stays
+ * out of the AVX-512 file on purpose: -mavx512f brings FMA, and a
+ * fused multiply-add would round differently from the scalar loop.
  */
 
 #ifndef PADE_CORE_SIMD_QK_SIMD_H
@@ -128,6 +133,31 @@ bool qkAvx512Compiled();
  * Only meaningful when qkSimdAvailable().
  */
 TileKernel tileKernel();
+
+/**
+ * The value stage's update of one int8 value row:
+ * acc[d] += p * (scale * float(v[d])) for d < dim. scale * float(v[d])
+ * is the float dequantize() gives for scale * int8, so the update is
+ * bit-identical to one over dequantized float rows. Every kernel
+ * rounds the two products and the sum separately, in this order.
+ */
+using ValueRowKernel = void (*)(float *acc, const int8_t *v, int dim,
+                                float p, float scale);
+
+/** The portable loop (qk_dispatch.cc, baseline ISA). */
+void valueRowScalar(float *acc, const int8_t *v, int dim, float p,
+                    float scale);
+/** Eight lanes per step (qk_avx2.cc); the portable loop when AVX2 is
+ *  not compiled. */
+void valueRowAvx2(float *acc, const int8_t *v, int dim, float p,
+                  float scale);
+
+/**
+ * The value-row kernel for this CPU: valueRowAvx2 when AVX2 is
+ * compiled and the CPU and OS support it, valueRowScalar otherwise.
+ * Cached after the first call.
+ */
+ValueRowKernel valueRowKernel();
 
 /**
  * The tile loop of the per-plane kernels (AVX2 and the portable

@@ -22,7 +22,7 @@ struct TraceEvent
     int64_t start_ns = 0;
     int64_t dur_ns = 0;
     int nargs = 0;
-    TraceArg args[2] = {};
+    TraceArg args[kMaxTraceArgs] = {};
 };
 
 /**
@@ -110,7 +110,7 @@ recordComplete(const char *name, int64_t start_ns, int64_t dur_ns,
     e.phase = 'X';
     e.start_ns = start_ns;
     e.dur_ns = dur_ns;
-    e.nargs = std::min(nargs, 2);
+    e.nargs = std::min(nargs, kMaxTraceArgs);
     for (int i = 0; i < e.nargs; ++i)
         e.args[i] = args[i];
     localBuffer().record(e);
@@ -123,7 +123,7 @@ recordInstant(const char *name, const TraceArg *args, int nargs)
     e.name = name;
     e.phase = 'i';
     e.start_ns = traceNowNs();
-    e.nargs = std::min(nargs, 2);
+    e.nargs = std::min(nargs, kMaxTraceArgs);
     for (int i = 0; i < e.nargs; ++i)
         e.args[i] = args[i];
     localBuffer().record(e);

@@ -3,9 +3,10 @@
  * Scoped trace spans recorded into per-thread ring buffers and
  * exported as Chrome trace_event JSON (chrome://tracing, Perfetto).
  *
- * A span is (name, tid, start, duration, up to two integer args).
+ * A span is (name, tid, start, duration, up to kMaxTraceArgs integer
+ * args).
  * Recording is designed for coarse units — a batcher round, a
- * pipeline unit, a prefill chunk — not per-key loops:
+ * wave unit, a prefill chunk — not per-key loops:
  *
  *  - Tracing is off until setTraceEnabled(true); a disabled span is
  *    one relaxed atomic load (see ScopedSpan's constructor), so
@@ -45,6 +46,9 @@ struct TraceArg
     int64_t value;
 };
 
+/** Args an event keeps; later ones are dropped. */
+inline constexpr int kMaxTraceArgs = 4;
+
 namespace detail {
 
 inline std::atomic<bool> g_trace_enabled{false};
@@ -73,7 +77,7 @@ void clearTrace();
 /**
  * Ring capacity, in events, applied to every buffer (existing
  * buffers are cleared and resized; cold, for tests and tools).
- * Default is 16384 events per thread (~1 MiB).
+ * Default is 16384 events per thread (104 B each, ~1.7 MiB).
  */
 void setTraceCapacity(std::size_t events);
 
@@ -120,7 +124,7 @@ class ScopedSpan
             nargs_ = 0;
             for (const TraceArg &a : args)
             {
-                if (nargs_ == kMaxArgs)
+                if (nargs_ == kMaxTraceArgs)
                     break;
                 args_[nargs_++] = a;
             }
@@ -140,11 +144,9 @@ class ScopedSpan
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
   private:
-    static constexpr int kMaxArgs = 2;
-
     const char *name_ = nullptr; //!< null => disabled at entry
     int64_t start_ns_ = 0;
-    TraceArg args_[kMaxArgs] = {};
+    TraceArg args_[kMaxTraceArgs] = {};
     int nargs_ = 0;
 };
 

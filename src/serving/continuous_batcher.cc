@@ -135,7 +135,7 @@ struct Session
 /**
  * Unit 1 of every session: materialize its whole-model workload
  * (static quantization scales, prefix-pure rows; see ModelWorkload)
- * and pipelined engine, then adopt any prefix pages an earlier
+ * and model engine, then adopt any prefix pages an earlier
  * session already published. Runs on a pool worker; touches only the
  * session and the (internally mutex'd) prefix index.
  */
@@ -311,7 +311,7 @@ runRound(std::vector<std::unique_ptr<Session>> &active,
         scratch.engines.push_back(&*s.engine);
     }
 
-    // Workload generation is not pipeline work, so it stays outside
+    // Workload generation is not engine work, so it stays outside
     // the waves and their capacity accounting.
     if (!scratch.fresh.empty()) {
         const auto mat = [&](int i) {

@@ -8,10 +8,10 @@
  * scheduling round advances each active session by one unit of work —
  * workload materialization, a scored prefill chunk, or one decoded
  * token. The round's engine work runs as waves (WaveRunner,
- * serving/model_engine.h): each wave opens one pipeline round on
- * every resident session's engine and runs all of their units in a
- * single pool-wide parallelFor, so the host saturates on sessions x
- * layers units even when each session alone could not fill it.
+ * serving/model_engine.h): each wave opens one round on every
+ * resident session's engine and runs all of their units in a single
+ * pool-wide parallelFor, so the host saturates on the sessions'
+ * units even when each session alone could not fill it.
  * Finished sessions are evicted immediately (their KV pages freed),
  * opening the slot for the next queued request: the
  * continuous-batching discipline, as opposed to static batching
@@ -20,13 +20,14 @@
  * Sessions are whole *models*, not single layers: each owns a
  * `ModelEngine` — `layers` LayerEngines, each one `KvCache` per KV
  * head shared by heads/kv_heads grouped query heads (GQA) — and every
- * prefill/decode unit drains the engine's software pipeline, so token
- * t's layer-l work overlaps token t+1's layer-(l-1) work on the pool
- * (serving/model_engine.h proves that schedule bit-identical to the
- * serial layer loop). Prefill *scores*: each prefill round feeds a
- * chunk of prompt positions through every layer, bit-identical to
- * whole-prompt padeAttention (prefill outputs feed
- * `SessionStats::prefill_checksum`; decode outputs feed `checksum`).
+ * prefill chunk or decode token drains through the engine's layers, a
+ * chunk of more than ModelEngine::kBlockPositions positions as one
+ * wave of position blocks per layer (serving/model_engine.h proves
+ * that schedule bit-identical to the serial layer loop). Prefill
+ * *scores*: each prefill round feeds a chunk of prompt positions
+ * through every layer, bit-identical to whole-prompt padeAttention
+ * (prefill outputs feed `SessionStats::prefill_checksum`; decode
+ * outputs feed `checksum`).
  *
  * Cross-session prefix caching (`BatcherOptions::prefix_cache`): one
  * PrefixIndex is shared by all slots of a run. At materialization a
@@ -48,8 +49,9 @@
  * global admission sequence.
  *
  * Concurrency: pool workers run materializations and wave units,
- * which touch disjoint sessions (and, within a session, disjoint
- * layers); the prefix index is internally locked. Every other step —
+ * which touch disjoint sessions (and, within a session, the disjoint
+ * positions of one chunk's blocks); the prefix index is internally
+ * locked. Every other step —
  * feeding, round completion, prefix publication, byte accounting,
  * eviction — runs on the scheduler thread. Admission invariants
  * (slot count, prefill chunk, GQA divisibility, trace monotonicity)
@@ -95,8 +97,9 @@ struct BatcherOptions
     int head_dim = 64;     //!< per-head geometry
     int bits = 8;
     int page_tokens = 256; //!< KvCache page capacity
-    /** false = serial layer-by-layer schedule (the reference the
-     *  pipelined engine is differentially tested against). */
+    /** false = serial layer-by-layer schedule, one token at a time
+     *  (the reference the wave schedule is differentially tested
+     *  against). */
     bool pipeline = true;
     /** Share full prefix KV pages across sessions via a PrefixIndex. */
     bool prefix_cache = false;
@@ -120,7 +123,7 @@ struct BatcherOptions
      * Non-empty: enable span recording for the run and write the
      * Chrome trace_event JSON (chrome://tracing / Perfetto) here at
      * the end. Spans cover batcher rounds, session materialization,
-     * and the waves and units of the pipeline; admissions and
+     * and the waves and units of the engines; admissions and
      * evictions are instant events.
      * See docs/OBSERVABILITY.md.
      */

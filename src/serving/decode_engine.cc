@@ -49,22 +49,29 @@ DecodeEngine::DecodeEngine(PadeConfig cfg, RetentionPolicy retention)
     PADE_CHECK_GE(retention_.recency_tokens, 0);
 }
 
+void
+DecodeEngine::stageRows(DecodeScratch &s, const MatrixI8 &q, int q_row0,
+                        int group, MatrixF &out, int out_row0)
+{
+    PADE_CHECK_GE(group, 1);
+    s.qs_.resize(static_cast<std::size_t>(group));
+    s.outs_.resize(static_cast<std::size_t>(group));
+    for (int g = 0; g < group; g++) {
+        s.qs_[static_cast<std::size_t>(g)] = q.row(q_row0 + g);
+        s.outs_[static_cast<std::size_t>(g)] = out.row(out_row0 + g);
+    }
+}
+
 DecodeStep
 DecodeEngine::stepGroup(const KvCache &cache, const MatrixI8 &q,
                         int q_row0, int group, float logit_scale,
                         MatrixF &out, int out_row0)
 {
-    PADE_CHECK_GE(group, 1);
-    qs_.resize(static_cast<std::size_t>(group));
-    outs_.resize(static_cast<std::size_t>(group));
-    for (int g = 0; g < group; g++) {
-        qs_[static_cast<std::size_t>(g)] = q.row(q_row0 + g);
-        outs_[static_cast<std::size_t>(g)] = out.row(out_row0 + g);
-    }
+    stageRows(scratch_, q, q_row0, group, out, out_row0);
     // A decode query sits at the stream tail: it sees every cached
     // token, and the scan order spans exactly the cache.
-    return runGroup(cache, cache.size() - 1, cache.size(),
-                    logit_scale);
+    return runGroup(cache, cache.size() - 1, cache.size(), logit_scale,
+                    scratch_, stats_);
 }
 
 DecodeStep
@@ -73,33 +80,41 @@ DecodeEngine::prefillGroup(const KvCache &cache, const MatrixI8 &q,
                            int prompt_len, float logit_scale,
                            MatrixF &out, int out_row0)
 {
-    PADE_CHECK_GE(group, 1);
+    return prefillGroup(cache, q, q_row0, group, qpos, prompt_len,
+                        logit_scale, out, out_row0, scratch_, stats_);
+}
+
+DecodeStep
+DecodeEngine::prefillGroup(const KvCache &cache, const MatrixI8 &q,
+                           int q_row0, int group, int qpos,
+                           int prompt_len, float logit_scale,
+                           MatrixF &out, int out_row0,
+                           DecodeScratch &scratch,
+                           PruneStats &stats) const
+{
     PADE_CHECK_GE(qpos, 0);
     PADE_CHECK_LT(qpos, prompt_len);
     // The chunk containing qpos must already be appended; later
     // prompt tokens may or may not be — the causal skip masks both
     // the not-yet-cached tail and the in-cache tokens past qpos.
     PADE_CHECK_GT(cache.size(), qpos);
-    qs_.resize(static_cast<std::size_t>(group));
-    outs_.resize(static_cast<std::size_t>(group));
-    for (int g = 0; g < group; g++) {
-        qs_[static_cast<std::size_t>(g)] = q.row(q_row0 + g);
-        outs_[static_cast<std::size_t>(g)] = out.row(out_row0 + g);
-    }
-    return runGroup(cache, qpos, prompt_len, logit_scale);
+    stageRows(scratch, q, q_row0, group, out, out_row0);
+    return runGroup(cache, qpos, prompt_len, logit_scale, scratch,
+                    stats);
 }
 
 DecodeStep
 DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
-                       float logit_scale)
+                       float logit_scale, DecodeScratch &s,
+                       PruneStats &stats) const
 {
     const KvCacheConfig &kc = cache.config();
     const int h = kc.head_dim;
     const int bits = kc.bits;
-    const int g = static_cast<int>(qs_.size());
-    for (const auto &q : qs_)
+    const int g = static_cast<int>(s.qs_.size());
+    for (const auto &q : s.qs_)
         PADE_CHECK_EQ(static_cast<int>(q.size()), h);
-    for (const auto &o : outs_)
+    for (const auto &o : s.outs_)
         PADE_CHECK_EQ(static_cast<int>(o.size()), h);
     // The cached WorkPrefix entries were computed with the cache's
     // GSAT geometry; the stats are only comparable to padeAttention
@@ -117,11 +132,11 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
                                        : m.dispatch_popcount)
         .add(1);
 
-    if (static_cast<int>(heads_.size()) < g) {
-        heads_.resize(static_cast<std::size_t>(g));
-        scans_.resize(static_cast<std::size_t>(g));
+    if (static_cast<int>(s.heads_.size()) < g) {
+        s.heads_.resize(static_cast<std::size_t>(g));
+        s.scans_.resize(static_cast<std::size_t>(g));
     }
-    group_ = g;
+    s.group_ = g;
 
     const bool windowed = retention_.enabled();
     // The retention window is relative to the stream AS THE QUERY
@@ -136,41 +151,54 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     // call would pay. Retention-windowed engines generate only the
     // live subsequence (sink + recency, bit-identical to walking the
     // full order with the per-key window skip) and, instead of
-    // clearing whole planes/keep spans, undo only the entries their
-    // own previous step could have written — every write lands inside
-    // that step's scan order, recorded in HeadState::touched — so the
-    // whole step is O(window), not O(context). The buffers stay
-    // full-length (grow-only, zero-filled) to preserve the
-    // lastPlanes()/lastKeep() contract that untouched tokens read 0.
+    // clearing whole planes/keep spans, undo only the entries the
+    // scratch's previous windowed step could have written — every
+    // write lands inside that step's scan order, recorded in
+    // HeadState::touched — so the whole step is O(window), not
+    // O(context). A full-history step on the same scratch writes
+    // anywhere, so after one the next windowed step clears whole
+    // spans once. The buffers stay full-length (grow-only,
+    // zero-filled) to preserve the lastPlanes()/lastKeep() contract
+    // that untouched tokens read 0.
     //
-    // The order itself depends only on (order_len, sink tokens, window
-    // start), tile_bc and head_tail being fixed per engine, so it is
-    // rebuilt only when one of them moved: every position of a
-    // full-history prompt reuses one build, while a decode step's
-    // length grows by one and rebuilds.
+    // The order depends only on its inputs (length, sink tokens,
+    // window start, tile_bc, head_tail), so it is rebuilt only when
+    // one of them moved: every position of a full-history prompt
+    // reuses one build, while a decode step's length grows by one and
+    // rebuilds.
     const auto buildOrder = [&](int sink, int start) {
-        const OrderKey key{order_len, sink, start};
-        if (key == order_key_)
+        const DecodeScratch::OrderKey key{order_len, sink, start,
+                                          cfg_.tile_bc, cfg_.head_tail};
+        if (key == s.order_key_)
             return;
         istaScanOrderInto(order_len, cfg_.tile_bc, cfg_.head_tail, sink,
-                          start, order_);
-        order_key_ = key;
+                          start, s.order_);
+        s.order_key_ = key;
     };
     if (!windowed) {
         for (int gi = 0; gi < g; gi++) {
-            HeadState &hs = heads_[static_cast<std::size_t>(gi)];
+            DecodeScratch::HeadState &hs =
+                s.heads_[static_cast<std::size_t>(gi)];
             hs.planes.assign(static_cast<std::size_t>(order_len), 0);
             hs.keep.assign(static_cast<std::size_t>(order_len), 0);
+            hs.all_dirty = true;
         }
         buildOrder(0, 0);
     } else {
         for (int gi = 0; gi < g; gi++) {
-            HeadState &hs = heads_[static_cast<std::size_t>(gi)];
-            for (int j : hs.touched) {
-                const auto sj = static_cast<std::size_t>(j);
-                if (sj < hs.planes.size()) {
-                    hs.planes[sj] = 0;
-                    hs.keep[sj] = 0;
+            DecodeScratch::HeadState &hs =
+                s.heads_[static_cast<std::size_t>(gi)];
+            if (hs.all_dirty) {
+                std::fill(hs.planes.begin(), hs.planes.end(), 0);
+                std::fill(hs.keep.begin(), hs.keep.end(), 0);
+                hs.all_dirty = false;
+            } else {
+                for (int j : hs.touched) {
+                    const auto sj = static_cast<std::size_t>(j);
+                    if (sj < hs.planes.size()) {
+                        hs.planes[sj] = 0;
+                        hs.keep[sj] = 0;
+                    }
                 }
             }
             if (static_cast<int>(hs.planes.size()) < order_len) {
@@ -185,21 +213,23 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
         // positions of order_ (causal/evicted skips leave zeros, and
         // re-clearing a zero is harmless).
         for (int gi = 0; gi < g; gi++)
-            heads_[static_cast<std::size_t>(gi)].touched.assign(
-                order_.begin(), order_.end());
+            s.heads_[static_cast<std::size_t>(gi)].touched.assign(
+                s.order_.begin(), s.order_.end());
     }
 
     // Stage per-head query state once per step; the tile loop below
     // only reads it.
     for (int gi = 0; gi < g; gi++) {
-        HeadState &hs = heads_[static_cast<std::size_t>(gi)];
-        scans_[static_cast<std::size_t>(gi)].start(
-            qs_[static_cast<std::size_t>(gi)], kernel, bits,
+        DecodeScratch::HeadState &hs =
+            s.heads_[static_cast<std::size_t>(gi)];
+        s.scans_[static_cast<std::size_t>(gi)].start(
+            s.qs_[static_cast<std::size_t>(gi)], kernel, bits,
             GuardFilter(cfg_.alpha, cfg_.radius, logit_scale),
             hs.planes.data(), hs.keep.data());
     }
-    group_scan_.bind(std::span(scans_).first(static_cast<std::size_t>(g)),
-                     cfg_.tile_bc);
+    s.group_scan_.bind(
+        std::span(s.scans_).first(static_cast<std::size_t>(g)),
+        cfg_.tile_bc);
 
     // The guarded scan, one ISTA tile at a time for the whole group:
     // a tile is the run of consecutive keys of order_ inside one
@@ -215,18 +245,19 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     const ScanPlan plan(kernel, bits, cfg_.guard_enabled);
     withQkKernel(kernel, [&](auto k) {
         const int page_tokens = kc.page_tokens;
-        for (std::size_t o = 0; o < order_.size();) {
-            const int j = order_[o];
+        const std::vector<int> &order = s.order_;
+        for (std::size_t o = 0; o < order.size();) {
+            const int j = order[o];
             const int page = j <= qpos ? cache.pageOf(j) : -1;
             if (page < 0 || !cache.pageLive(page)) {
                 o++; // causal / not yet prefilled, or evicted
                 continue;
             }
-            const int n = tileRun(order_, o, cfg_.tile_bc,
+            const int n = tileRun(order, o, cfg_.tile_bc,
                                   std::min(qpos + 1,
                                            (page + 1) * page_tokens));
             const int local = cache.rowOf(j);
-            scanTile(k, plan, group_scan_,
+            scanTile(k, plan, s.group_scan_,
                      cache.pagePlanes(page).rowPlanes(local).data(),
                      cache.pageWork(page).data() +
                          static_cast<std::size_t>(local) * bits,
@@ -236,11 +267,10 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
         }
     });
     for (int gi = 0; gi < g; gi++) {
-        const ScanQuery &sq = scans_[static_cast<std::size_t>(gi)];
+        const ScanQuery &sq = s.scans_[static_cast<std::size_t>(gi)];
         st.threshold_updates += sq.guard.updates();
         res.retained += static_cast<int>(sq.retained.size());
     }
-    stats_ += st;
     res.planes = st.planes_processed;
     // Per-query-head totals, matching PruneStats semantics: the
     // prune ratio is 1 - planes_consumed / planes_total and the
@@ -253,35 +283,37 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     m.planes_total.add(st.planes_total);
 
     // ISTA value stage per head, tiled by Bc in scan order — the
-    // identical float sequence to padeAttention's
-    // update(scores, vf, ids) path, with value rows gathered from the
-    // cache pages instead of one contiguous matrix. Heads run
-    // sequentially through the one shared accumulator; reset() re-arms
-    // it without allocation.
-    tile_scores_.resize(static_cast<std::size_t>(cfg_.tile_bc));
+    // identical float sequence to padeAttention's value stage (the
+    // same int8-row update), with value rows gathered from the cache
+    // pages instead of one contiguous matrix. Heads run sequentially
+    // through the one shared accumulator; reset() re-arms it without
+    // allocation.
+    const auto tile = static_cast<std::size_t>(cfg_.tile_bc);
+    s.tile_scores_.resize(tile);
+    s.tile_rows_.resize(tile);
     for (int gi = 0; gi < g; gi++) {
-        const ScanQuery &sq = scans_[static_cast<std::size_t>(gi)];
-        softmax_.reset(h);
+        const ScanQuery &sq = s.scans_[static_cast<std::size_t>(gi)];
+        s.softmax_.reset(h);
         for (std::size_t base = 0; base < sq.retained.size();
-             base += static_cast<std::size_t>(cfg_.tile_bc)) {
-            const std::size_t hi = std::min(
-                sq.retained.size(),
-                base + static_cast<std::size_t>(cfg_.tile_bc));
-            const std::size_t n = hi - base;
-            tile_rows_.resize(n);
+             base += tile) {
+            const std::size_t n =
+                std::min(sq.retained.size(), base + tile) - base;
             for (std::size_t t = 0; t < n; t++) {
-                tile_scores_[t] = logit_scale *
+                s.tile_scores_[t] = logit_scale *
                     static_cast<float>(sq.scores[base + t]);
-                tile_rows_[t] = cache.valueRow(sq.retained[base + t]);
+                s.tile_rows_[t] = cache.valueRow(sq.retained[base + t]);
             }
-            softmax_.update(
-                std::span<const float>(tile_scores_).first(n),
-                tile_rows_);
+            s.softmax_.update(
+                std::span<const float>(s.tile_scores_).first(n),
+                std::span<const std::span<const int8_t>>(s.tile_rows_)
+                    .first(n),
+                kc.v_scale);
         }
-        stats_.max_updates += softmax_.maxUpdates();
-        stats_.rescale_ops += softmax_.rescaleOps();
-        softmax_.finalizeInto(outs_[static_cast<std::size_t>(gi)]);
+        st.max_updates += s.softmax_.maxUpdates();
+        st.rescale_ops += s.softmax_.rescaleOps();
+        s.softmax_.finalizeInto(s.outs_[static_cast<std::size_t>(gi)]);
     }
+    stats += st;
     return res;
 }
 

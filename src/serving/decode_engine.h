@@ -3,12 +3,16 @@
  * Incremental PADE attention over a paged KV cache — single-query,
  * grouped-query (GQA), and scored chunked-prefill execution.
  *
- * One DecodeEngine owns the reusable state of one KV-head stream
- * (packed query planes, online-softmax accumulator, scan-order /
- * retained-id buffers, per-query-head scratch) and runs the exact
+ * One DecodeEngine holds the state of one KV-head stream (algorithm
+ * config, retention policy, accumulated PruneStats) and runs the exact
  * `padeAttention` algorithm — BSF plane streaming, BUI-GF guarded
  * termination, ISTA stage-fused softmax·V — against the tokens of a
- * `KvCache`.
+ * `KvCache`. What one step needs and the next rewrites (scan order,
+ * staged query rows, per-query-head traces, online-softmax
+ * accumulator, tile buffers) lives apart in a DecodeScratch: the
+ * engine keeps one for its own steps, and prefillGroup()'s const form
+ * borrows the caller's, so several positions of one stream can be
+ * scored at once (ModelEngine's block units, serving/model_engine.h).
  *
  * Two entry points share one key loop, which runs the guarded-scan
  * core (core/guarded_scan.h) that batch padeAttention runs too:
@@ -93,7 +97,8 @@ namespace pade {
  * Iteration is windowed too: when the policy is active, each step
  * generates only the live subsequence of the ISTA scan order
  * (istaScanOrderInto() over the policy's live range) and clears only
- * the scratch entries its previous step wrote, so per-token cost is
+ * the scratch entries the scratch's previous windowed step wrote
+ * (DecodeScratch), so per-token cost is
  * O(sink + recency) regardless of context length — the dead middle
  * costs nothing, not even a skip test or memset. The windowed order
  * is the exact subsequence the full order's per-key window skip
@@ -143,8 +148,93 @@ struct DecodeStep
 };
 
 /**
- * Reusable incremental decoder for one KV-head stream and the query
- * heads grouped onto it.
+ * The per-step buffers of a guarded scan, reusable by any stream:
+ * each step rewrites or clears everything it reads, so a scratch may
+ * pass from one DecodeEngine to another between steps. A full-history
+ * step re-zeroes its heads' traces whole; a windowed step undoes what
+ * the previous step wrote (or everything, after a full-history step),
+ * and the cached scan order is keyed by every input of
+ * istaScanOrderInto(). Grow-only: after the first step at a given
+ * length and group size, a step allocates nothing.
+ */
+class DecodeScratch
+{
+  public:
+    /** Query heads of the last step. */
+    int group() const { return group_; }
+
+    /** Retained token ids of head @p g last step, in scan order. */
+    std::span<const int>
+    retained(int g) const
+    {
+        PADE_DCHECK(g >= 0 && g < group_);
+        return scans_[static_cast<std::size_t>(g)].retained;
+    }
+    /** Planes consumed per token by head @p g last step (0: never
+     *  visited). */
+    std::span<const uint8_t>
+    planes(int g) const
+    {
+        return head(g).planes;
+    }
+    /** Keep mask of head @p g last step (1 = retained). */
+    std::span<const uint8_t>
+    keep(int g) const
+    {
+        return head(g).keep;
+    }
+
+  private:
+    friend class DecodeEngine;
+
+    /** Per-query-head traces, persistent across steps (grow-only). */
+    struct HeadState
+    {
+        std::vector<uint8_t> planes;
+        std::vector<uint8_t> keep;
+        /** Positions the last windowed step may have written into
+         *  planes/keep — what the next windowed step undoes instead of
+         *  a full-length clear. */
+        std::vector<int> touched;
+        /** A full-history step wrote anywhere below planes.size(), so
+         *  touched does not cover its writes. */
+        bool all_dirty = false;
+    };
+    /** Every input of istaScanOrderInto() that order_ was built for
+     *  (len -1: never built). */
+    struct OrderKey
+    {
+        int len = -1;
+        int sink = 0;
+        int start = 0;
+        int tile = 0;
+        bool head_tail = false;
+        bool operator==(const OrderKey &) const = default;
+    };
+
+    const HeadState &
+    head(int g) const
+    {
+        PADE_DCHECK(g >= 0 && g < group_);
+        return heads_[static_cast<std::size_t>(g)];
+    }
+
+    int group_ = 0; //!< heads of the last step
+    std::vector<std::span<const int8_t>> qs_;
+    std::vector<std::span<float>> outs_;
+    std::vector<HeadState> heads_;
+    std::vector<ScanQuery> scans_; //!< per query head, contiguous
+    ScanGroup group_scan_;         //!< scans_ as one tile-scan group
+    OnlineSoftmaxRow softmax_{0};
+    OrderKey order_key_;
+    std::vector<int> order_;
+    std::vector<float> tile_scores_;
+    std::vector<std::span<const int8_t>> tile_rows_;
+};
+
+/**
+ * Incremental decoder for one KV-head stream and the query heads
+ * grouped onto it.
  */
 class DecodeEngine
 {
@@ -184,6 +274,25 @@ class DecodeEngine
                             MatrixF &out, int out_row0);
 
     /**
+     * prefillGroup() on the caller's @p scratch, adding its PruneStats
+     * to @p stats instead of this stream's. It reads only the cache,
+     * the config and @p q, so positions of one stream may be scored
+     * concurrently, each on its own scratch; the caller folds the
+     * stats back with addStats(). lastKeep() and friends do not see
+     * these steps.
+     */
+    DecodeStep prefillGroup(const KvCache &cache, const MatrixI8 &q,
+                            int q_row0, int group, int qpos,
+                            int prompt_len, float logit_scale,
+                            MatrixF &out, int out_row0,
+                            DecodeScratch &scratch,
+                            PruneStats &stats) const;
+
+    /** Fold PruneStats of const prefillGroup() steps into this
+     *  stream's. */
+    void addStats(const PruneStats &stats) { stats_ += stats; }
+
+    /**
      * Reclaim cache pages the retention policy has aged out (no-op
      * when the policy is disabled). Sink-free windows free from the
      * stream front; sink-pinned streams free the dead *middle* —
@@ -209,15 +318,14 @@ class DecodeEngine
     /** Pruning statistics accumulated across all steps (group sums). */
     const PruneStats &stats() const { return stats_; }
 
-    /** Query heads of the last step. */
-    int lastGroup() const { return group_; }
+    /** Query heads of this engine's last stepGroup/prefillGroup. */
+    int lastGroup() const { return scratch_.group(); }
 
     /** Retained token ids of head @p g last step, in scan order. */
     std::span<const int>
     lastRetained(int g = 0) const
     {
-        PADE_DCHECK(g >= 0 && g < group_);
-        return scans_[static_cast<std::size_t>(g)].retained;
+        return scratch_.retained(g);
     }
     /** Planes consumed per token by head @p g last step: value r
      *  means planes 0..r-1 were consumed before retention/pruning;
@@ -227,69 +335,35 @@ class DecodeEngine
     std::span<const uint8_t>
     lastPlanes(int g = 0) const
     {
-        return headRef(g).planes;
+        return scratch_.planes(g);
     }
     /** Keep mask of head @p g last step (1 = retained). */
     std::span<const uint8_t>
     lastKeep(int g = 0) const
     {
-        return headRef(g).keep;
+        return scratch_.keep(g);
     }
 
   private:
-    /** Per-query-head scratch, persistent across steps (grow-only). */
-    struct HeadState
-    {
-        std::vector<uint8_t> planes;
-        std::vector<uint8_t> keep;
-        /** Positions the last windowed step may have written into
-         *  planes/keep — what the next step must undo instead of a
-         *  full-length clear (unused by full-history engines, which
-         *  re-assign the whole span). */
-        std::vector<int> touched;
-    };
-
-    const HeadState &
-    headRef(int g) const
-    {
-        PADE_DCHECK(g >= 0 && g < group_);
-        return heads_[static_cast<std::size_t>(g)];
-    }
+    /** Point @p s at the group's query and output rows. */
+    static void stageRows(DecodeScratch &s, const MatrixI8 &q,
+                          int q_row0, int group, MatrixF &out,
+                          int out_row0);
 
     /**
-     * Shared inner loop: the queries staged in qs_ attend over cached
+     * Shared inner loop: the queries staged in @p s attend over cached
      * tokens j <= qpos, visited in istaScanOrder(order_len) order,
-     * writing the rows staged in outs_.
+     * writing the rows staged in @p s; PruneStats go to @p stats.
      */
     DecodeStep runGroup(const KvCache &cache, int qpos, int order_len,
-                        float logit_scale);
+                        float logit_scale, DecodeScratch &s,
+                        PruneStats &stats) const;
 
     PadeConfig cfg_;
     RetentionPolicy retention_;
     PruneStats stats_;
-    int group_ = 0; //!< heads of the last step
-
-    // Reusable buffers: after the first step at a given context
-    // length and group size, the scan path allocates nothing.
-    std::vector<std::span<const int8_t>> qs_;
-    std::vector<std::span<float>> outs_;
-    std::vector<HeadState> heads_;
-    std::vector<ScanQuery> scans_; //!< per query head, contiguous
-    ScanGroup group_scan_;         //!< scans_ as one tile-scan group
-    OnlineSoftmaxRow softmax_{0};
-    /** What order_ was built for: istaScanOrderInto's length, sink
-     *  tokens and window start (len -1: never built). */
-    struct OrderKey
-    {
-        int len = -1;
-        int sink = 0;
-        int start = 0;
-        bool operator==(const OrderKey &) const = default;
-    };
-    OrderKey order_key_;
-    std::vector<int> order_;
-    std::vector<float> tile_scores_;
-    std::vector<std::span<const float>> tile_rows_;
+    /** The scratch of this engine's own steps (the last*() views). */
+    DecodeScratch scratch_;
 };
 
 } // namespace pade

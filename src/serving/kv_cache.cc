@@ -55,7 +55,7 @@ kvPageBytes(const KvPage &page)
     return static_cast<std::size_t>(page.cfg.page_tokens) *
         (static_cast<std::size_t>(page.planes.numPlanes()) *
              page.planes.wordsPerPlane() * sizeof(uint64_t) +
-         static_cast<std::size_t>(page.cfg.head_dim) * sizeof(float) +
+         static_cast<std::size_t>(page.cfg.head_dim) * sizeof(int8_t) +
          static_cast<std::size_t>(page.cfg.bits) * sizeof(WorkPrefix));
 }
 
@@ -95,12 +95,9 @@ KvCache::appendToken(std::span<const int8_t> k_row,
     const int row = page.used();
     page.planes.appendToken(k_row);
 
-    // The exact float expression padeAttention's value stage sees
-    // (dequantize(): scale * int8), so incremental softmax
-    // accumulation is bit-identical to the batch path.
-    auto vout = page.values.row(row);
-    for (int d = 0; d < cfg_.head_dim; d++)
-        vout[d] = cfg_.v_scale * v_row[d];
+    // Stored as appended: the value stage multiplies by v_scale as
+    // padeAttention's does, so both see dequantize()'s floats.
+    std::copy(v_row.begin(), v_row.end(), page.values.row(row).begin());
 
     // The work sums are query-independent: computing them here
     // amortizes the per-call table rebuild padeAttention pays, once
@@ -119,9 +116,9 @@ KvCache::adoptSharedPage(std::shared_ptr<const KvPage> page)
     PADE_CHECK(page != nullptr);
     // Adoption is only legal at a page boundary (no partial private
     // tail to splice around) and for a bit-compatible page: the
-    // packed planes, dequantized values, and WorkPrefix entries were
-    // all derived under the producer's config, so every field must
-    // match for the alias to be numerically transparent.
+    // packed planes, the value rows' scale and the WorkPrefix entries
+    // all come from the producer's config, so every field must match
+    // for the alias to be numerically transparent.
     PADE_CHECK_EQ(tokens_ % cfg_.page_tokens, 0);
     PADE_CHECK(page->full());
     PADE_CHECK_EQ(page->cfg.head_dim, cfg_.head_dim);

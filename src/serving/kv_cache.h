@@ -14,8 +14,9 @@
  *    bit-identical to a from-scratch pack of the same rows; a token's
  *    planes take bits * ceil(head_dim / 64) words, unpadded, right
  *    after the previous token's;
- *  - values live as dequantized float rows (the exact
- *    `scale * int8` floats `padeAttention`'s value stage consumes);
+ *  - values live as the int8 rows they were appended as; the value
+ *    stage applies `v_scale` per element, which gives the exact
+ *    `scale * int8` floats `dequantize()` would;
  *  - the query-independent per-(token, plane) work accounting — the
  *    `WorkPrefix` running sums of `PlaneWork`'s selected-element
  *    counts, 4 bytes per plane — is computed once at append time
@@ -25,8 +26,8 @@
  * Pages are fixed at `page_tokens` rows and reserved up front, so an
  * append never moves previously stored planes: spans handed out by
  * the accessors stay valid across appendToken() calls. At head_dim 64
- * and 8 bits a page token costs 352 B: 64 B of key planes, 256 B of
- * float V row and 32 B of WorkPrefix rows (kvPageBytes()).
+ * and 8 bits a page token costs 160 B: 64 B of key planes, 64 B of
+ * int8 V row and 32 B of WorkPrefix rows (kvPageBytes()).
  *
  * Page sharing (cross-session prefix caching): pages are held through
  * `std::shared_ptr<KvPage>`, so a FULL page can be mapped read-only
@@ -107,13 +108,14 @@ struct KvCacheConfig
      */
     int subgroup = 8;
     int muxes = 4;
-    /** Value dequantization scale: float row = v_scale * int8 row. */
+    /** Value dequantization scale: float row = v_scale * int8 row,
+     *  applied by the value stage. */
     float v_scale = 1.0f;
 };
 
 /**
- * One fixed-capacity KV page: packed key planes, dequantized value
- * rows, and the per-(row, plane) WorkPrefix table. Pages record the
+ * One fixed-capacity KV page: packed key planes, int8 value rows, and
+ * the per-(row, plane) WorkPrefix table. Pages record the
  * geometry they were built with so adoption into another cache can
  * verify compatibility — sharing a page whose quantization scale or
  * GSAT geometry differs would be a silent numerical divergence, so
@@ -125,7 +127,7 @@ struct KvPage
 
     KvCacheConfig cfg;           //!< geometry fingerprint at creation
     BitPlaneSet planes;          //!< keys, page-local rows
-    MatrixF values;              //!< dequantized V rows
+    MatrixI8 values;             //!< int8 V rows (scale: cfg.v_scale)
     std::vector<WorkPrefix> work; //!< used * bits entries
 
     /** Rows appended so far; full() pages are immutable. */
@@ -219,8 +221,8 @@ class KvCache
 
     /**
      * Append one token: pack the key row's bit planes into the tail
-     * page (opening a new page when full), dequantize the value row,
-     * and precompute its WorkPrefix row. O(bits * head_dim).
+     * page (opening a new page when full), copy the value row, and
+     * precompute its WorkPrefix row. O(bits * head_dim).
      */
     void appendToken(std::span<const int8_t> k_row,
                      std::span<const int8_t> v_row);
@@ -233,7 +235,7 @@ class KvCache
      * mismatched adoption would silently corrupt decode outputs).
      * The page is aliased, not copied: readers of this cache and of
      * every other adopter observe the producer's packed planes,
-     * dequantized values, and cached WorkPrefix rows.
+     * value rows, and cached WorkPrefix rows.
      */
     void adoptSharedPage(std::shared_ptr<const KvPage> page);
 
@@ -252,8 +254,9 @@ class KvCache
         return livePage(page).planes;
     }
 
-    /** Dequantized value row of global token @p token. */
-    std::span<const float>
+    /** Int8 value row of global token @p token (float row:
+     *  config().v_scale times it). */
+    std::span<const int8_t>
     valueRow(int token) const
     {
         return livePage(pageOf(token)).values.row(rowOf(token));

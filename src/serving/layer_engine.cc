@@ -62,17 +62,39 @@ LayerEngine::sharePages(
             caches_[static_cast<std::size_t>(kv)].sharePage(page));
 }
 
-LayerStep
-LayerEngine::runHeads(const MatrixI8 &q,
-                      std::span<const float> logit_scales,
-                      MatrixF &out, ThreadPool *pool, int qpos,
-                      int prompt_len)
+namespace {
+
+/** Add one KV head's step to a layer-wide one. */
+void
+foldStep(LayerStep &acc, const DecodeStep &st)
+{
+    acc.keys = st.keys; // identical across KV heads (same cache size,
+                        // same window)
+    acc.retained += st.retained;
+    acc.planes += st.planes;
+}
+
+} // namespace
+
+void
+LayerEngine::checkRows(const MatrixI8 &q,
+                       std::span<const float> logit_scales,
+                       const MatrixF &out) const
 {
     PADE_CHECK_EQ(q.rows(), cfg_.heads);
     PADE_CHECK_EQ(q.cols(), cfg_.head_dim);
     PADE_CHECK_EQ(out.rows(), cfg_.heads);
     PADE_CHECK_EQ(out.cols(), cfg_.head_dim);
     PADE_CHECK_EQ(static_cast<int>(logit_scales.size()), cfg_.kv_heads);
+}
+
+LayerStep
+LayerEngine::runHeads(const MatrixI8 &q,
+                      std::span<const float> logit_scales,
+                      MatrixF &out, ThreadPool *pool, int qpos,
+                      int prompt_len)
+{
+    checkRows(q, logit_scales, out);
     const int group = cfg_.groupSize();
 
     // One KV head's work: its group of query rows against its shared
@@ -89,23 +111,16 @@ LayerEngine::runHeads(const MatrixI8 &q,
             : eng.prefillGroup(c, q, kv * group, group, qpos,
                                prompt_len, scale, out, kv * group);
     };
-    const auto fold = [](LayerStep &acc, const DecodeStep &st) {
-        acc.keys = st.keys; // identical across KV heads (same cache
-                            // size, same window)
-        acc.retained += st.retained;
-        acc.planes += st.planes;
-    };
-
     // KV heads are fully independent (disjoint caches, engines, and
     // output rows), so they fan across the pool; the fold runs on the
     // caller in ascending KV-head order either way, keeping every
     // aggregate bit-identical for any thread count.
     if (pool && pool->threadCount() > 1 && cfg_.kv_heads > 1)
         return parallelReduceOrdered(*pool, cfg_.kv_heads, LayerStep{},
-                                     headStep, fold);
+                                     headStep, foldStep);
     LayerStep acc;
     for (int kv = 0; kv < cfg_.kv_heads; kv++)
-        fold(acc, headStep(kv));
+        foldStep(acc, headStep(kv));
     return acc;
 }
 
@@ -129,6 +144,39 @@ LayerEngine::prefillPosition(const MatrixI8 &q, int qpos,
     PADE_CHECK_LT(qpos, prompt_len);
     PADE_CHECK_GT(tokens_, qpos);
     return runHeads(q, logit_scales, out, pool, qpos, prompt_len);
+}
+
+LayerStep
+LayerEngine::prefillPosition(const MatrixI8 &q, int qpos,
+                             int prompt_len,
+                             std::span<const float> logit_scales,
+                             MatrixF &out, DecodeScratch &scratch,
+                             std::span<PruneStats> stats) const
+{
+    PADE_CHECK_GE(qpos, 0);
+    PADE_CHECK_LT(qpos, prompt_len);
+    PADE_CHECK_GT(tokens_, qpos);
+    checkRows(q, logit_scales, out);
+    PADE_CHECK_EQ(static_cast<int>(stats.size()), cfg_.kv_heads);
+    const int group = cfg_.groupSize();
+    LayerStep acc;
+    for (int kv = 0; kv < cfg_.kv_heads; kv++) {
+        const auto k = static_cast<std::size_t>(kv);
+        foldStep(acc, engines_[k].prefillGroup(
+                          caches_[k], q, kv * group, group, qpos,
+                          prompt_len, logit_scales[k], out, kv * group,
+                          scratch, stats[k]));
+    }
+    return acc;
+}
+
+void
+LayerEngine::addStats(std::span<const PruneStats> stats)
+{
+    PADE_CHECK_EQ(static_cast<int>(stats.size()), cfg_.kv_heads);
+    for (int kv = 0; kv < cfg_.kv_heads; kv++)
+        engines_[static_cast<std::size_t>(kv)].addStats(
+            stats[static_cast<std::size_t>(kv)]);
 }
 
 void

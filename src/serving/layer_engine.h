@@ -31,10 +31,11 @@
  * per stream), the pool fan-out gives each worker exactly one
  * partition, and the barrier inside parallelFor orders every fan-out
  * against the caller's next mutation. Concurrent use of ONE LayerEngine
- * from several caller threads is not supported — that serialization
- * belongs to the owner (ContinuousBatcher advances a session from one
- * worker per round). The TSan CI leg runs this fan-out under
- * contention (tests/test_concurrency_stress.cc).
+ * from several caller threads is supported only for the const
+ * prefillPosition(), each caller on its own DecodeScratch, between
+ * mutations (ModelEngine's block units); every other call is
+ * serialized by the owner. The TSan CI leg runs both under contention
+ * (tests/test_concurrency_stress.cc, tests/test_model_engine_fuzz.cc).
  *
  * Head layout convention (shared with LayerWorkload): global query
  * head h belongs to KV head h / groupSize(), and matrices passed to
@@ -151,6 +152,24 @@ class LayerEngine
                               std::span<const float> logit_scales,
                               MatrixF &out, ThreadPool *pool = nullptr);
 
+    /**
+     * prefillPosition() on the caller's @p scratch, one KV head after
+     * another, adding KV head kv's PruneStats to @p stats[kv]
+     * (kv_heads entries) instead of its engine's. It reads only the
+     * caches and @p q and writes only @p out, @p scratch and
+     * @p stats, so once a chunk is appended its positions may be
+     * scored concurrently, each on its own scratch; addStats() folds
+     * the stats back.
+     */
+    LayerStep prefillPosition(const MatrixI8 &q, int qpos,
+                              int prompt_len,
+                              std::span<const float> logit_scales,
+                              MatrixF &out, DecodeScratch &scratch,
+                              std::span<PruneStats> stats) const;
+
+    /** Add @p stats[kv] to KV head kv's engine (kv_heads entries). */
+    void addStats(std::span<const PruneStats> stats);
+
     /** Apply the retention policy's page eviction to every cache. */
     void evict();
 
@@ -180,6 +199,8 @@ class LayerEngine
     std::size_t bytesUsed() const;
 
   private:
+    void checkRows(const MatrixI8 &q, std::span<const float> logit_scales,
+                   const MatrixF &out) const;
     LayerStep runHeads(const MatrixI8 &q,
                        std::span<const float> logit_scales,
                        MatrixF &out, ThreadPool *pool, int qpos,

@@ -13,9 +13,9 @@ namespace pade {
 
 namespace {
 
-// Pipeline telemetry, recorded by WaveRunner::wave() (waves and
-// their units) and runCollectedUnit() (the time each pipelined unit
-// computed).
+// Wave telemetry, recorded by WaveRunner::wave() (waves and their
+// units) and runCollectedUnit() (the time each unit computed; the
+// serial oracle's whole-token units are not timed).
 struct ModelMetrics
 {
     obs::Counter &rounds;
@@ -62,18 +62,11 @@ ModelEngine::ModelEngine(const ModelEngineConfig &cfg,
     PADE_CHECK(sink_ != nullptr);
 
     layers_.reserve(static_cast<std::size_t>(cfg_.layers));
-    stage_k_.reserve(static_cast<std::size_t>(cfg_.layers));
-    stage_v_.reserve(static_cast<std::size_t>(cfg_.layers));
-    stage_q_.reserve(static_cast<std::size_t>(cfg_.layers));
-    for (int l = 0; l < cfg_.layers; l++) {
+    for (int l = 0; l < cfg_.layers; l++)
         layers_.emplace_back(
             cfg_.layer,
             std::span<const float>(v_scales_)
                 .subspan(static_cast<std::size_t>(l) * kv, kv));
-        stage_k_.emplace_back(cfg_.layer.kv_heads, cfg_.layer.head_dim);
-        stage_v_.emplace_back(cfg_.layer.kv_heads, cfg_.layer.head_dim);
-        stage_q_.emplace_back(cfg_.layer.heads, cfg_.layer.head_dim);
-    }
 }
 
 void
@@ -87,99 +80,163 @@ ModelEngine::feed(int pos, int prompt_len)
     queue_.push_back(Job{pos, prompt_len});
 }
 
-ModelEngine::Flight
-ModelEngine::takeFlight(const Job &job)
+std::span<const float>
+ModelEngine::logitScales(int l) const
 {
-    Flight f;
-    if (!spares_.empty()) {
-        f = std::move(spares_.back());
-        spares_.pop_back();
-    } else {
-        f.outs.reserve(static_cast<std::size_t>(cfg_.layers));
-        for (int l = 0; l < cfg_.layers; l++)
-            f.outs.emplace_back(cfg_.layer.heads, cfg_.layer.head_dim);
-        f.steps.resize(static_cast<std::size_t>(cfg_.layers));
-    }
-    f.job = job;
-    f.age = 0;
-    return f;
-}
-
-void
-ModelEngine::runUnit(Flight &f, int l, ThreadPool *pool)
-{
-    const auto li = static_cast<std::size_t>(l);
-    MatrixI8 &k = stage_k_[li];
-    MatrixI8 &v = stage_v_[li];
-    MatrixI8 &q = stage_q_[li];
-    stager_(l, f.job.pos, k, v, q);
-
-    LayerEngine &layer = layers_[li];
-    layer.appendToken(k, v);
     const auto kv = static_cast<std::size_t>(cfg_.layer.kv_heads);
-    const std::span<const float> scales =
-        std::span<const float>(logit_scales_).subspan(li * kv, kv);
-    if (f.job.pos < f.job.prompt_len) {
-        f.steps[li] = layer.prefillPosition(q, f.job.pos,
-                                            f.job.prompt_len, scales,
-                                            f.outs[li], pool);
-    } else {
-        f.steps[li] = layer.decode(q, scales, f.outs[li], pool);
-        layer.evict();
+    return std::span<const float>(logit_scales_)
+        .subspan(static_cast<std::size_t>(l) * kv, kv);
+}
+
+void
+ModelEngine::startFlight()
+{
+    // The whole run of queued prompt positions flies together; a
+    // decode token flies alone (its scan needs its predecessor at
+    // every layer). The serial oracle flies one token at a time.
+    const Job first = queue_.front();
+    std::size_t n = 1;
+    if (cfg_.pipeline && first.pos < first.prompt_len)
+        while (n < queue_.size() &&
+               queue_[n].prompt_len == first.prompt_len &&
+               queue_[n].pos < queue_[n].prompt_len)
+            n++;
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(n));
+    flight_ = Flight{first.pos, static_cast<int>(n), first.prompt_len};
+
+    // The buffers follow the flight's size, so a session decoding
+    // after its prompt holds one position's rows, not a chunk's.
+    const LayerEngineConfig &lc = cfg_.layer;
+    const auto fit = [&lc](auto &buf, std::size_t size, int rows) {
+        buf.resize(std::min(buf.size(), size));
+        while (buf.size() < size)
+            buf.emplace_back(rows, lc.head_dim);
+    };
+    const std::size_t slots = n * static_cast<std::size_t>(cfg_.layers);
+    fit(stage_k_, n, lc.kv_heads);
+    fit(stage_v_, n, lc.kv_heads);
+    fit(stage_q_, n, lc.heads);
+    fit(outs_, slots, lc.heads);
+    steps_.resize(slots);
+    block_stats_.resize(flight_.wide()
+                            ? static_cast<std::size_t>(flight_.blocks()) *
+                                  static_cast<std::size_t>(lc.kv_heads)
+                            : 0);
+}
+
+void
+ModelEngine::appendLayer(int l)
+{
+    LayerEngine &layer = layers_[static_cast<std::size_t>(l)];
+    for (int i = 0; i < flight_.count; i++) {
+        const auto si = static_cast<std::size_t>(i);
+        stager_(l, flight_.first + i, stage_k_[si], stage_v_[si],
+                stage_q_[si]);
+        layer.appendToken(stage_k_[si], stage_v_[si]);
     }
 }
 
 void
-ModelEngine::retire(Flight &&f)
+ModelEngine::runLayer(int l, ThreadPool *pool)
 {
-    TokenResult result;
-    result.pos = f.job.pos;
-    result.prompt_len = f.job.prompt_len;
-    result.outs = f.outs;
-    result.steps = f.steps;
-    sink_(result);
-    completed_++;
-    spares_.push_back(std::move(f));
+    appendLayer(l);
+    LayerEngine &layer = layers_[static_cast<std::size_t>(l)];
+    const std::span<const float> scales = logitScales(l);
+    for (int i = 0; i < flight_.count; i++) {
+        const int pos = flight_.first + i;
+        const MatrixI8 &q = stage_q_[static_cast<std::size_t>(i)];
+        MatrixF &out = outs_[slot(i, l)];
+        if (pos < flight_.prompt_len) {
+            steps_[slot(i, l)] = layer.prefillPosition(
+                q, pos, flight_.prompt_len, scales, out, pool);
+        } else {
+            steps_[slot(i, l)] = layer.decode(q, scales, out, pool);
+            layer.evict();
+        }
+    }
+}
+
+void
+ModelEngine::scanBlock(int l, int b)
+{
+    // One scratch per thread: a block unit never waits on the pool,
+    // so no other unit can run on this thread while it holds it.
+    thread_local DecodeScratch scratch;
+    const LayerEngine &layer = layers_[static_cast<std::size_t>(l)];
+    const auto kv = static_cast<std::size_t>(cfg_.layer.kv_heads);
+    const std::span<PruneStats> stats =
+        std::span(block_stats_).subspan(static_cast<std::size_t>(b) * kv,
+                                        kv);
+    std::fill(stats.begin(), stats.end(), PruneStats{});
+    const std::span<const float> scales = logitScales(l);
+    const int lo = b * kBlockPositions;
+    const int hi = std::min(flight_.count, lo + kBlockPositions);
+    for (int i = lo; i < hi; i++)
+        steps_[slot(i, l)] = layer.prefillPosition(
+            stage_q_[static_cast<std::size_t>(i)], flight_.first + i,
+            flight_.prompt_len, scales, outs_[slot(i, l)], scratch,
+            stats);
+}
+
+void
+ModelEngine::retireFlight()
+{
+    const auto layers = static_cast<std::size_t>(cfg_.layers);
+    for (int i = 0; i < flight_.count; i++) {
+        TokenResult result;
+        result.pos = flight_.first + i;
+        result.prompt_len = flight_.prompt_len;
+        result.outs = std::span<const MatrixF>(outs_).subspan(
+            slot(i, 0), layers);
+        result.steps = std::span<const LayerStep>(steps_).subspan(
+            slot(i, 0), layers);
+        sink_(result);
+        completed_++;
+    }
+    flight_ = Flight{};
 }
 
 int
 ModelEngine::collectUnits()
 {
     PADE_CHECK(!round_open_);
-    if (!cfg_.pipeline) {
-        // Serial reference schedule: one whole-token unit per round.
-        // (flight_ holds at most this one entry in serial mode.)
+    if (flight_.count == 0) {
         if (queue_.empty())
             return 0;
-        flight_.push_back(takeFlight(queue_.front()));
-        queue_.pop_front();
-        round_open_ = true;
-        return 1;
-    }
-    if (queue_.empty() && flight_.empty())
-        return 0;
-    if (!queue_.empty()) {
-        flight_.push_back(takeFlight(queue_.front()));
-        queue_.pop_front();
+        startFlight();
     }
     round_open_ = true;
-    return static_cast<int>(flight_.size());
+    return cfg_.pipeline && flight_.appended ? flight_.blocks() : 1;
 }
 
 void
 ModelEngine::runCollectedUnit(int u, ThreadPool *pool)
 {
     PADE_DCHECK(round_open_);
-    Flight &f = flight_[static_cast<std::size_t>(u)];
     if (!cfg_.pipeline) {
         for (int l = 0; l < cfg_.layers; l++)
-            runUnit(f, l, pool);
+            runLayer(l, pool);
         return;
     }
+    const int l = flight_.layer;
+    const int phase = !flight_.wide() ? 0 : flight_.appended ? 2 : 1;
+    const int first = phase == 2 ? u * kBlockPositions : 0;
+    const int count =
+        phase == 2 ? std::min(kBlockPositions, flight_.count - first)
+                   : flight_.count;
     const obs::ScopedSpan span("model.unit",
-                               {{"layer", f.age}, {"pos", f.job.pos}});
+                               {{"layer", l},
+                                {"pos", flight_.first + first},
+                                {"positions", count},
+                                {"phase", phase}});
     const auto t0 = std::chrono::steady_clock::now();
-    runUnit(f, f.age, pool);
+    if (phase == 0)
+        runLayer(l, pool);
+    else if (phase == 1)
+        appendLayer(l);
+    else
+        scanBlock(l, u);
     ModelMetrics::get().unit_busy_us.add(
         static_cast<uint64_t>(microsSince(t0)));
 }
@@ -190,22 +247,27 @@ ModelEngine::completeRound()
     PADE_CHECK(round_open_);
     round_open_ = false;
     if (!cfg_.pipeline) {
-        Flight f = std::move(flight_.front());
-        flight_.pop_front();
-        retire(std::move(f));
+        retireFlight();
         return;
     }
-    // Post-barrier, on the caller: age everyone, retire the front
-    // when its last layer just ran. At most one token can retire per
-    // round (ages are distinct), and it is always the oldest — tokens
-    // leave in feed order.
-    for (Flight &f : flight_)
-        f.age++;
-    while (!flight_.empty() && flight_.front().age == cfg_.layers) {
-        Flight f = std::move(flight_.front());
-        flight_.pop_front();
-        retire(std::move(f));
+    if (flight_.wide()) {
+        if (!flight_.appended) {
+            flight_.appended = true;
+            return;
+        }
+        // Post-barrier, on the caller: the blocks' stats, in block
+        // order.
+        LayerEngine &layer =
+            layers_[static_cast<std::size_t>(flight_.layer)];
+        const auto kv = static_cast<std::size_t>(cfg_.layer.kv_heads);
+        for (int b = 0; b < flight_.blocks(); b++)
+            layer.addStats(std::span<const PruneStats>(block_stats_)
+                               .subspan(static_cast<std::size_t>(b) * kv,
+                                        kv));
+        flight_.appended = false;
     }
+    if (++flight_.layer == cfg_.layers)
+        retireFlight();
 }
 
 bool
@@ -239,17 +301,18 @@ WaveRunner::wave(std::span<ModelEngine *const> engines, ThreadPool *pool)
         return 0;
     {
         const obs::ScopedSpan span(
-            "model.round", {{"flights", static_cast<int64_t>(total)},
+            "model.round", {{"units", static_cast<int64_t>(total)},
                             {"sessions", sessions}});
-        // Units are fine-grained (one layer of one token), so fan out
-        // only as wide as the HARDWARE can execute: an oversubscribed
-        // pool would wake sleeping workers for microsecond units and
-        // pay a context switch each, and on a 1-core host the wave
-        // runs inline on this thread. The nested KV-head fan-out only
-        // helps while the wave undersubscribes those lanes. Both are
-        // functions of the wave shape, and units of one wave are
-        // order-independent (parallelReduceOrdered inside), so
-        // neither can perturb outputs.
+        // Units are fine-grained (one layer of one flight, or one
+        // block of it), so fan out only as wide as the HARDWARE can
+        // execute: an oversubscribed pool would wake sleeping workers
+        // for microsecond units and pay a context switch each, and on
+        // a 1-core host the wave runs inline on this thread. The
+        // nested KV-head fan-out only helps while the wave
+        // undersubscribes those lanes. Both are functions of the wave
+        // shape, and units of one wave are order-independent
+        // (parallelReduceOrdered inside), so neither can perturb
+        // outputs.
         const int lanes =
             pool ? std::min(pool->threadCount(),
                             ThreadPool::hardwareThreads())
@@ -287,7 +350,7 @@ ModelEngine::adoptPrefixPages(
 {
     // Adoption splices pages at the frontier; with tokens in flight
     // the frontier would move under them.
-    PADE_CHECK(queue_.empty() && flight_.empty());
+    PADE_CHECK(pending() == 0);
     const auto kv = static_cast<std::size_t>(cfg_.layer.kv_heads);
     PADE_CHECK_EQ(pages.size(),
                   static_cast<std::size_t>(cfg_.layers) * kv);

@@ -1,46 +1,65 @@
 /**
  * @file
  * Whole-model serving engine: `layers` LayerEngines composed into one
- * session, with the layer loop software-pipelined across a ThreadPool.
+ * session, each layer of a flight run as one wave of units on a
+ * ThreadPool.
  *
- * A transformer forward pass visits every layer per token. Run
- * serially, layer l+1 idles while layer l scores — on a pool that
- * leaves most workers starved whenever kv_heads < threads. This
- * engine instead runs the layer loop as a systolic pipeline over
- * *tokens*: each advance() round processes up to `layers` in-flight
- * tokens concurrently, token t at layer l while token t+1 is at layer
- * l-1 (layer l's decode for one token overlaps layer l+1's append for
- * the previous one). A token enters the pipeline per round and
- * retires `layers` rounds later.
+ * Schedule. Fed positions queue until the engine has no flight; then
+ * the whole run of queued prompt positions (a chunk), or one decode
+ * token, becomes the flight and crosses the layers in order, one
+ * layer per wave or two:
  *
- * Why the pipelined schedule is bit-identical to the serial
- * layer-by-layer reference, for any thread count:
+ *  - a flight of at most kBlockPositions positions (every decode
+ *    token, and short chunks) crosses a layer in ONE unit: stage its
+ *    K, V and Q rows, append K/V to the layer's caches, then score
+ *    its positions in order (decode tokens also apply retention
+ *    eviction);
+ *  - a longer chunk crosses a layer in TWO waves: one unit stages and
+ *    appends every position's rows, then one unit per block of
+ *    kBlockPositions consecutive positions scores that block. Once a
+ *    chunk's K/V rows are in the caches, the causal scans of its
+ *    positions are independent: each masks cached tokens past its own
+ *    position and anchors its retention window there, so it sees
+ *    exactly what the serial schedule shows it.
  *
- *  - In-flight tokens always sit at *distinct* layers (ages are
- *    strictly decreasing from the oldest flight to the newest, one
- *    round apart), so the round's concurrent units touch disjoint
- *    LayerEngines, disjoint staging buffers, and disjoint output
- *    rows — there is nothing to race on, which the TSan CI leg and
- *    tests/test_concurrency_stress.cc watch at runtime.
- *  - Each layer still sees tokens in exact feed order (token t's unit
- *    at layer l runs in round t + l, t's successor in round t+1+l),
- *    so every KvCache append sequence — and therefore every plane
- *    table, guard threshold, and PruneStats counter — is the sequence
- *    the serial schedule produces.
- *  - Within a unit, the KV-head fan-out reduces via
- *    parallelReduceOrdered (ascending KV-head order on the caller),
- *    the established barrier discipline of LayerEngine.
- *  - Token results are emitted on the advance() caller *after* the
- *    round barrier, oldest flight first — completed tokens surface in
- *    feed order in both schedules, so the sink sees one canonical
- *    emission sequence.
+ * A chunk of n > kBlockPositions positions thus takes 2 * layers
+ * waves and a shorter flight `layers` waves, at any thread count
+ * (kBlockPositions is a constant, never derived from the pool), and
+ * tokens retire through the sink in feed order once their last
+ * layer ran.
+ *
+ * Why blocks of one stream cannot race: a block unit reads the
+ * layer's caches, the flight's staged Q rows and the layer's configs,
+ * and writes only its own positions' output rows and LayerSteps, its
+ * own slice of PruneStats, and a DecodeScratch owned by the thread
+ * running it (LayerEngine::prefillPosition's const form). Nothing
+ * mutates those caches while the blocks run: the append unit ran in
+ * the previous wave, behind the wave barrier, and no other unit of
+ * the engine shares the wave. The stats go back to the layer's
+ * engines on the calling thread in completeRound(), in block order,
+ * and are integer sums. Units of distinct engines touch distinct
+ * sessions. The TSan CI leg runs tests/test_concurrency_stress.cc and
+ * tests/test_model_engine_fuzz.cc to watch this at runtime.
+ *
+ * Why the schedule is bit-identical to the serial layer-by-layer
+ * reference (pipeline = false: one token through every layer per
+ * round), for any thread count:
+ *
+ *  - every layer's caches see the same append sequence (feed order),
+ *    so every plane table and WorkPrefix row is the same;
+ *  - every position's scan sees the same keys (the causal skip, the
+ *    retention anchor at qpos + 1, and eviction only after decode
+ *    tokens, which never share a flight);
+ *  - within a unit, the KV-head fan-out reduces via
+ *    parallelReduceOrdered (ascending KV-head order on the caller);
+ *  - PruneStats are integer sums, so folding a chunk's block stats
+ *    after its blocks ran changes no total.
  *
  * Workload note: K/V/Q rows come from the caller's Stager (a pure
  * function of (layer, position) in the synthetic workloads), not from
  * the previous layer's activations — attention state (KV caches,
  * pruning decisions) is what the library models, not the MLP data
- * path. The pipeline's correctness argument only relies on staging
- * being callable for distinct layers concurrently.
+ * path.
  *
  * Prefix sharing: adoptPrefixPages() splices published, immutable KV
  * pages (one per layer x KV head) at the append frontier, so a
@@ -54,12 +73,10 @@
  * every engine of a span, runs all of their units in one parallelFor,
  * then completes the rounds in span order. advance()/drain() are a
  * one-engine wave; ContinuousBatcher passes every resident session's
- * engine, so one scheduler runs every pipeline round in the library.
+ * engine, so one scheduler runs every round in the library.
  *
  * Thread safety: none at the class surface — one caller thread
- * advances an engine. Within a wave, units of distinct engines touch
- * distinct sessions and units of one engine touch distinct layers,
- * so the wave's units share no mutable state.
+ * advances an engine.
  */
 
 #ifndef PADE_SERVING_MODEL_ENGINE_H
@@ -84,8 +101,9 @@ struct ModelEngineConfig
 {
     int layers = 1;          //!< transformer layers
     LayerEngineConfig layer; //!< per-layer geometry/algorithm config
-    /** false = serial layer-by-layer reference schedule (the oracle
-     *  the differential fuzz harness compares against). */
+    /** false = serial layer-by-layer reference schedule, one token
+     *  through every layer per round (the oracle the differential
+     *  fuzz harness compares against). */
     bool pipeline = true;
 };
 
@@ -104,13 +122,13 @@ struct TokenResult
 class ModelEngine;
 
 /**
- * The one pipeline-round scheduler. wave() opens a round on every
- * engine of the span with pending work, runs the union of their
- * units through a single parallelFor on @p pool (inline when null or
- * when the pool cannot use more than one hardware lane), then
- * completes the rounds on the calling thread in span order. Every
- * engine therefore sees exactly the round sequence it would see
- * alone, and units of one wave touch disjoint state, so outputs do
+ * The one round scheduler. wave() opens a round on every engine of
+ * the span with pending work, runs the union of their units through
+ * a single parallelFor on @p pool (inline when null or when the pool
+ * cannot use more than one hardware lane), then completes the rounds
+ * on the calling thread in span order. Every engine therefore sees
+ * exactly the round sequence it would see alone, and units of one
+ * wave share no mutable state (see the file comment), so outputs do
  * not depend on the span, the pool, or the thread count.
  *
  * Owns the `model.round` span and the `model.rounds` and
@@ -137,16 +155,21 @@ class WaveRunner
 };
 
 /**
- * `layers` LayerEngines pipelined over tokens. See file comment for
- * the schedule and its determinism argument.
+ * `layers` LayerEngines run one flight at a time, a layer per wave or
+ * two. See the file comment for the schedule and its determinism
+ * argument.
  */
 class ModelEngine
 {
   public:
+    /** Positions a block unit scores; a flight of at most this many
+     *  crosses each layer in one unit. */
+    static constexpr int kBlockPositions = 16;
+
     /**
      * Row source: fill k/v (kv_heads x head_dim) and q (heads x
-     * head_dim) for (layer, pos). Must be safe to call for distinct
-     * layers concurrently.
+     * head_dim) for (layer, pos). Engines of distinct sessions may
+     * call their stagers concurrently.
      */
     using Stager = std::function<void(int layer, int pos, MatrixI8 &k,
                                       MatrixI8 &v, MatrixI8 &q)>;
@@ -186,12 +209,12 @@ class ModelEngine
     void feed(int pos, int prompt_len);
 
     /**
-     * Run one pipeline round as a one-engine wave: admit at most one
-     * queued token into flight, process every in-flight token at its
-     * layer (fanned across @p pool when given), then retire tokens
-     * whose last layer completed. Serial mode (pipeline = false) runs
-     * one whole token through all layers instead. Returns false when
-     * nothing was left to do.
+     * Run one round as a one-engine wave: start a flight from the
+     * queue when none is in the air, run its units at its current
+     * layer (fanned across @p pool when given), then move it on and
+     * retire its tokens once their last layer ran. Serial mode
+     * (pipeline = false) runs one whole token through all layers
+     * instead. Returns false when nothing was left to do.
      */
     bool advance(ThreadPool *pool = nullptr);
 
@@ -206,7 +229,7 @@ class ModelEngine
     int
     pending() const
     {
-        return static_cast<int>(queue_.size() + flight_.size());
+        return static_cast<int>(queue_.size()) + flight_.count;
     }
 
     /**
@@ -242,35 +265,61 @@ class ModelEngine
         int pos = 0;
         int prompt_len = 0;
     };
-    /** One in-flight token: its job, current layer (age), and
-     *  per-layer results. Buffers recycle through spares_. */
+    /** The positions [first, first + count) crossing the layers
+     *  together (count 0: none). */
     struct Flight
     {
-        Job job;
-        int age = 0;
-        std::vector<MatrixF> outs;
-        std::vector<LayerStep> steps;
+        int first = 0;
+        int count = 0;
+        int prompt_len = 0;
+        int layer = 0; //!< the layer its next unit(s) run
+        /** Its rows are appended at `layer`; its blocks run next. */
+        bool appended = false;
+
+        bool wide() const { return count > kBlockPositions; }
+        int
+        blocks() const
+        {
+            return (count + kBlockPositions - 1) / kBlockPositions;
+        }
     };
 
     /**
      * WaveRunner's round protocol. collectUnits() opens a round —
-     * admitting at most one queued token into flight — and returns
-     * its unit count (0 = drained, no round opened; serial mode
-     * yields one whole-token unit). runCollectedUnit() may run units
-     * 0..n-1 in any order or concurrently: in-flight ages are
-     * pairwise distinct, so they touch disjoint layers and buffers.
-     * completeRound() ages the pipeline and retires completed tokens
-     * on the calling thread, in feed order.
+     * starting a flight from the queue if none is in the air — and
+     * returns its unit count (0 = drained, no round opened).
+     * runCollectedUnit() may run units 0..n-1 in any order or
+     * concurrently. completeRound() moves the flight on and retires
+     * its tokens after their last layer, on the calling thread, in
+     * feed order.
      */
     int collectUnits();
     /** @p pool fans the unit's internal KV-head reduction only. */
     void runCollectedUnit(int u, ThreadPool *pool);
     void completeRound();
 
-    Flight takeFlight(const Job &job);
-    /** Process flight @p f at layer @p l: stage, append, score. */
-    void runUnit(Flight &f, int l, ThreadPool *pool);
-    void retire(Flight &&f);
+    void startFlight();
+    /** Stage every flight position's rows at layer @p l and append
+     *  their K/V (a wide flight's first wave at the layer). */
+    void appendLayer(int l);
+    /** The flight crosses layer @p l in one unit: appendLayer(), then
+     *  score each position in order. */
+    void runLayer(int l, ThreadPool *pool);
+    /** A wide flight's block @p b at layer @p l, scored on this
+     *  thread's scratch. */
+    void scanBlock(int l, int b);
+    void retireFlight();
+
+    /** Layer @p l's logit scales, one per KV head. */
+    std::span<const float> logitScales(int l) const;
+    /** Flight position @p i's output / accounting slot at layer l. */
+    std::size_t
+    slot(int i, int l) const
+    {
+        return static_cast<std::size_t>(i) *
+            static_cast<std::size_t>(cfg_.layers) +
+            static_cast<std::size_t>(l);
+    }
 
     ModelEngineConfig cfg_;
     std::vector<float> v_scales_;
@@ -279,16 +328,19 @@ class ModelEngine
     Sink sink_;
 
     std::vector<LayerEngine> layers_;
-    // Per-layer staging buffers: safe because each round assigns at
-    // most one flight to any layer.
+
+    std::deque<Job> queue_;
+    Flight flight_;
+    // Per-position buffers of the flight: staged rows at the current
+    // layer, and outputs and accounting at slot(i, l).
     std::vector<MatrixI8> stage_k_;
     std::vector<MatrixI8> stage_v_;
     std::vector<MatrixI8> stage_q_;
-
-    std::deque<Job> queue_;
-    /** Ages strictly decrease front to back (front = oldest). */
-    std::deque<Flight> flight_;
-    std::vector<Flight> spares_;
+    std::vector<MatrixF> outs_;
+    std::vector<LayerStep> steps_;
+    /** A wide flight's block PruneStats at the current layer: block
+     *  b's KV head kv at b * kv_heads + kv. */
+    std::vector<PruneStats> block_stats_;
     int fed_ = 0;
     int completed_ = 0;
     /** True between collectUnits() and completeRound(). */

@@ -10,7 +10,7 @@
  * sessions instead of with *distinct* prefixes. This index is the
  * vLLM-style fix at PADE granularity: sessions whose prompts share a
  * prefix map read-only onto the same `KvPage`s (packed key planes +
- * dequantized values + the cached WorkPrefix rows), so a hot prefix
+ * int8 values + the cached WorkPrefix rows), so a hot prefix
  * is packed and scored once for the whole fleet.
  *
  * Keying: the trie is page-granular. A prompt's identity is its

@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "attention/metrics.h"
 #include "attention/online_softmax.h"
 #include "attention/reference.h"
 #include "common/rng.h"
+#include "core/simd/qk_dispatch.h"
+#include "core/simd/qk_simd.h"
+#include "quant/quantizer.h"
 
 namespace pade {
 namespace {
@@ -263,6 +268,81 @@ TEST(OnlineSoftmax, NoAllocOverloadsMatchSpanApi)
     EXPECT_EQ(d.denominator(), 0.0f);
     d.update(std::span<const float>(scores).first(4), v, 4);
     EXPECT_EQ(c.finalize(), d.finalize());
+
+    // The int8 form (the value stage of padeAttention and
+    // DecodeEngine) against float rows from dequantize(): int8 rows
+    // holding both range ends, at small, unit-order and large scales,
+    // at a row length with a partial vector tail and at head_dim 64.
+    for (const int dim : {13, 64}) {
+        Quantized vq;
+        vq.values = MatrixI8(12, dim);
+        for (int r = 0; r < 12; r++)
+            for (int c2 = 0; c2 < dim; c2++)
+                vq.values.at(r, c2) = static_cast<int8_t>(
+                    (r + c2) % 3 == 0 ? -128
+                        : (r + c2) % 3 == 1
+                        ? 127
+                        : static_cast<int>(rng.below(256)) - 128);
+        for (const float scale : {1e-3f, 0.5f, 3.7e5f}) {
+            SCOPED_TRACE(testing::Message()
+                         << "dim " << dim << " scale " << scale);
+            vq.params.scale = scale;
+            const MatrixF vf = dequantize(vq);
+            OnlineSoftmaxRow fl(dim);
+            OnlineSoftmaxRow i8(dim);
+            for (size_t base = 0; base < ids.size(); base += 4) {
+                std::vector<std::span<const int8_t>> rows;
+                for (size_t t = base; t < base + 4; t++)
+                    rows.push_back(vq.values.row(ids[t]));
+                fl.update(std::span<const float>(scores).subspan(base, 4),
+                          vf, std::span<const int>(ids).subspan(base, 4));
+                i8.update(std::span<const float>(scores).subspan(base, 4),
+                          rows, scale);
+            }
+            EXPECT_EQ(fl.maxUpdates(), i8.maxUpdates());
+            EXPECT_EQ(fl.denominator(), i8.denominator());
+            EXPECT_EQ(fl.finalize(), i8.finalize());
+        }
+    }
+}
+
+TEST(OnlineSoftmax, ValueRowKernelsMatchBitForBit)
+{
+    // The vector value-row update against the portable loop, bit for
+    // bit, at every tail length and over the same inputs as above:
+    // both int8 range ends, three scales, weights across magnitudes.
+    if (!qkSimdAvailable())
+        GTEST_SKIP() << "AVX2 not compiled in or not supported here";
+    Rng rng(61);
+    for (int dim = 1; dim <= 72; dim++) {
+        std::vector<int8_t> v(static_cast<size_t>(dim));
+        for (int d = 0; d < dim; d++)
+            v[static_cast<size_t>(d)] = static_cast<int8_t>(
+                d % 5 == 0 ? -128
+                    : d % 5 == 1
+                    ? 127
+                    : static_cast<int>(rng.below(256)) - 128);
+        for (const float scale : {1e-3f, 0.5f, 3.7e5f}) {
+            for (const float p : {1.0f, 0.37f, 3e-9f}) {
+                std::vector<float> scalar(static_cast<size_t>(dim));
+                for (auto &a : scalar)
+                    a = static_cast<float>(rng.gaussian(0.0, 100.0));
+                std::vector<float> vector = scalar;
+                simd::valueRowScalar(scalar.data(), v.data(), dim, p,
+                                     scale);
+                simd::valueRowAvx2(vector.data(), v.data(), dim, p,
+                                   scale);
+                for (int d = 0; d < dim; d++)
+                    EXPECT_EQ(std::bit_cast<uint32_t>(
+                                  scalar[static_cast<size_t>(d)]),
+                              std::bit_cast<uint32_t>(
+                                  vector[static_cast<size_t>(d)]))
+                        << "dim " << dim << " d " << d << " scale "
+                        << scale << " p " << p;
+            }
+        }
+    }
+    EXPECT_EQ(simd::valueRowKernel(), &simd::valueRowAvx2);
 }
 
 TEST(OnlineSoftmax, ResetReuseAcrossRowsOfDifferentLengths)

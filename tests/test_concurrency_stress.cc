@@ -26,6 +26,7 @@
 #include <memory>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -205,30 +206,36 @@ TEST(ConcurrencyStress, WaveShapeIsThreadInvariantAndMergesSessions)
 {
     // With the admission clock pinned, the wave schedule is a pure
     // function of the trace: waves (model.rounds) and units
-    // (model.units) must not move with the thread count. A schedule
-    // that runs each session's rounds on their own can fit at most
-    // `layers` units in a round, so more units than layers x waves
+    // (model.units) must not move with the thread count. Each
+    // session's engine needs the same waves whoever shares them, so
+    // fewer waves than the sessions need when each is served alone
     // proves that waves merge sessions.
     const std::vector<ServingRequest> trace = stressTrace(12, 515);
-    const int layers = 2; // runStress geometry
-    uint64_t waves = 0;
-    uint64_t units = 0;
-    for (const int threads : {1, 2, 8}) {
-        SCOPED_TRACE(threads);
+    const auto wavesAndUnits = [](const std::vector<ServingRequest> &t,
+                                  int threads) {
         const obs::MetricsSnapshot before =
             obs::Registry::instance().snapshot();
-        runStress(trace, threads);
+        runStress(t, threads);
         const obs::MetricsSnapshot d = obs::MetricsSnapshot::delta(
             before, obs::Registry::instance().snapshot());
-        if (threads == 1) {
-            waves = d.counter("model.rounds");
-            units = d.counter("model.units");
-        }
-        EXPECT_EQ(d.counter("model.rounds"), waves);
-        EXPECT_EQ(d.counter("model.units"), units);
+        return std::pair(d.counter("model.rounds"),
+                         d.counter("model.units"));
+    };
+    const auto [waves, units] = wavesAndUnits(trace, 1);
+    for (const int threads : {2, 8}) {
+        SCOPED_TRACE(threads);
+        EXPECT_EQ(wavesAndUnits(trace, threads), std::pair(waves, units));
+    }
+    uint64_t alone_waves = 0;
+    uint64_t alone_units = 0;
+    for (const ServingRequest &req : trace) {
+        const auto [w, u] = wavesAndUnits({req}, 1);
+        alone_waves += w;
+        alone_units += u;
     }
     EXPECT_GT(waves, 0u);
-    EXPECT_GT(units, static_cast<uint64_t>(layers) * waves);
+    EXPECT_EQ(units, alone_units); // the same work, merged
+    EXPECT_LT(waves, alone_waves);
 }
 
 // ---------------------------------------------------------------------

@@ -847,6 +847,118 @@ TEST(Retention, ScoredPrefillWindowIsChunkIndependent)
         }
 }
 
+/**
+ * One DecodeScratch passed between streams of unlike configs — full
+ * history and two retention windows, tile_bc 16 and 8, head-tail on
+ * and off, groups of 4 and 2 heads — position by position, as
+ * ModelEngine's worker threads pass theirs between block units. Every
+ * step must match the same stream on its own scratch: outputs,
+ * accounting, PruneStats, and the keep and plane traces, whose
+ * untouched entries must read 0 after another stream wrote them.
+ */
+TEST(DecodeScratch, SharedAcrossStreamsMatchesOwnScratch)
+{
+    const int prompt = 60;
+    struct Stream
+    {
+        int heads;
+        int tile_bc;
+        bool head_tail;
+        RetentionPolicy retention;
+    };
+    // Neighbours differ in one input at a time, so a stale scan order
+    // or a stale trace entry reaches the next stream.
+    const Stream streams[] = {
+        {4, 16, true, {}},
+        {4, 8, false, {}},       // tile_bc and head-tail only
+        {2, 8, true, {}},        // head-tail and group only
+        {2, 8, true, {4, 12}},   // full history -> window
+        {2, 16, true, {4, 12}},  // tile_bc only, same window
+        {4, 16, false, {0, 20}}, // another window, group 4
+    };
+    struct Lane
+    {
+        LayerWorkload lw;
+        LayerEngine shared;
+        LayerEngine own;
+        std::vector<float> logit_scales;
+        PruneStats stats;
+    };
+    std::vector<Lane> lanes;
+    for (const Stream &st : streams) {
+        LayerWorkload lw = generateLayerWorkload(smallSpec(
+            st.heads, 1, 32, 8, prompt, 0,
+            900u + static_cast<uint64_t>(lanes.size())));
+        LayerEngineConfig lc;
+        lc.heads = st.heads;
+        lc.kv_heads = 1;
+        lc.head_dim = 32;
+        lc.page_tokens = 16;
+        lc.pade.tile_bc = st.tile_bc;
+        lc.pade.head_tail = st.head_tail;
+        lc.retention = st.retention;
+        const std::vector<float> v_scales{lw.groups[0].v.params.scale};
+        const std::vector<float> logit_scales{lw.groups[0].logit_scale};
+        lanes.push_back(Lane{std::move(lw), LayerEngine(lc, v_scales),
+                             LayerEngine(lc, v_scales), logit_scales,
+                             PruneStats{}});
+        Lane &lane = lanes.back();
+        MatrixI8 k(1, 32);
+        MatrixI8 v(1, 32);
+        for (int pos = 0; pos < prompt; pos++) {
+            lane.lw.stageKv(pos, k, v);
+            lane.shared.appendToken(k, v);
+            lane.own.appendToken(k, v);
+        }
+    }
+
+    DecodeScratch scratch;
+    for (int pos = 0; pos < prompt; pos++) {
+        for (std::size_t i = 0; i < lanes.size(); i++) {
+            SCOPED_TRACE(testing::Message()
+                         << "stream " << i << " pos " << pos);
+            Lane &lane = lanes[i];
+            const int heads = streams[i].heads;
+            MatrixI8 q(heads, 32);
+            lane.lw.stageQueries(pos, q);
+            MatrixF out_shared(heads, 32);
+            MatrixF out_own(heads, 32);
+            const LayerStep a = lane.shared.prefillPosition(
+                q, pos, prompt, lane.logit_scales, out_shared, scratch,
+                std::span(&lane.stats, 1));
+            const LayerStep b = lane.own.prefillPosition(
+                q, pos, prompt, lane.logit_scales, out_own);
+            EXPECT_EQ(a.keys, b.keys);
+            EXPECT_EQ(a.retained, b.retained);
+            EXPECT_EQ(a.planes, b.planes);
+            ASSERT_EQ(scratch.group(), heads);
+            const DecodeEngine &own = lane.own.engine(0);
+            for (int h = 0; h < heads; h++) {
+                expectRowsBitEqual(out_shared.row(h), out_own.row(h),
+                                   "shared scratch");
+                const auto n = static_cast<std::size_t>(prompt);
+                EXPECT_TRUE(std::ranges::equal(
+                    scratch.keep(h).first(n), own.lastKeep(h).first(n)))
+                    << "keep, head " << h;
+                EXPECT_TRUE(std::ranges::equal(
+                    scratch.planes(h).first(n),
+                    own.lastPlanes(h).first(n)))
+                    << "planes, head " << h;
+                EXPECT_TRUE(std::ranges::equal(scratch.retained(h),
+                                               own.lastRetained(h)))
+                    << "retained, head " << h;
+            }
+        }
+    }
+    for (Lane &lane : lanes) {
+        // The const scans left the shared-scratch engine's own stats
+        // alone; folding them back gives the own-scratch totals.
+        expectStatsEqual(lane.shared.stats(), PruneStats{});
+        lane.shared.addStats(std::span(&lane.stats, 1));
+        expectStatsEqual(lane.shared.stats(), lane.own.stats());
+    }
+}
+
 TEST(Retention, SinkPlusRecencyVisitsBothRegions)
 {
     const int head_dim = 32;

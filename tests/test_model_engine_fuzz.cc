@@ -27,6 +27,7 @@
 #include <optional>
 #include <span>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "attention/online_softmax.h"
@@ -35,6 +36,7 @@
 #include "serving/decode_engine.h"
 #include "core/simd/qk_dispatch.h"
 #include "runtime/thread_pool.h"
+#include "obs/telemetry.h"
 #include "serving/model_engine.h"
 #include "serving/prefix_index.h"
 #include "workload/generator.h"
@@ -408,6 +410,126 @@ TEST(ModelEngineFuzz, AdoptedPrefixMatchesPrivateDecode)
                     << " threads=" << threads;
             }
         }
+    }
+}
+
+/** A fixed trial for the chunk-schedule tests: 2 layers of GQA (4
+ *  query heads on 2 KV heads), 16-token pages, a 100-token prompt. */
+TrialConfig
+chunkTrial(QkKernel kernel, bool windowed)
+{
+    TrialConfig t;
+    t.spec.layers = 2;
+    t.spec.heads = 4;
+    t.spec.kv_heads = 2;
+    t.spec.head_dim = 33;
+    t.spec.bits = 8;
+    t.spec.prompt_len = 100;
+    t.spec.decode_steps = 4;
+    t.spec.seed = 0x5c4ed11eULL;
+    t.page_tokens = 16;
+    t.kernel = kernel;
+    if (windowed) {
+        t.retention.sink_tokens = 16;
+        t.retention.recency_tokens = 32;
+    }
+    return t;
+}
+
+/**
+ * The chunk schedule against the serial oracle: chunks of one
+ * position, of one less than a block, of exactly a block, of one
+ * more and of two blocks plus one, and a chunk that starts mid-page
+ * and straddles the page boundary, with and without an evicting
+ * retention window, at 1, 2 and 8 threads. Outputs, per-token
+ * LayerSteps and ModelEngine::stats() must be bit-identical, so the
+ * block units' PruneStats must be folded back exactly.
+ */
+TEST(ModelEngineFuzz, ChunkSchedulesMatchSerialOracle)
+{
+    static_assert(ModelEngine::kBlockPositions == 16);
+    const auto uniform = [](int chunk, int prompt) {
+        return std::vector<int>(
+            static_cast<std::size_t>((prompt + chunk - 1) / chunk),
+            chunk);
+    };
+    for (const bool windowed : {false, true}) {
+        const TrialConfig t = chunkTrial(QkKernel::kSimd, windowed);
+        SCOPED_TRACE(t.describe(0));
+        const int prompt = t.spec.prompt_len;
+        std::vector<std::vector<int>> plans;
+        for (const int chunk : {1, 15, 16, 17, 33})
+            plans.push_back(uniform(chunk, prompt));
+        plans.push_back({10, 12}); // [10, 22) straddles page 0 | 1
+        const RunResult oracle =
+            runModel(t, /*pipeline=*/false, /*threads=*/1, t.chunks);
+        for (const std::vector<int> &plan : plans) {
+            SCOPED_TRACE(testing::Message()
+                         << "first chunk " << plan.front()
+                         << (windowed ? " windowed" : ""));
+            for (const int threads : {1, 2, 8})
+                expectRunsIdentical(oracle,
+                                    runModel(t, /*pipeline=*/true,
+                                             threads, plan),
+                                    "chunk schedule");
+        }
+    }
+}
+
+/**
+ * Waves and units of one engine alone are a function of the chunk:
+ * more than kBlockPositions positions cross each layer in two waves
+ * (one append unit, then one unit per block), a shorter chunk or a
+ * decode token in one wave of one unit — at every thread count.
+ */
+TEST(ModelEngineSchedule, WaveCountsFollowTheChunk)
+{
+    const TrialConfig t = chunkTrial(QkKernel::kSimd, false);
+    const int layers = t.spec.layers;
+    ModelWorkload work(t.spec);
+    const auto streams = static_cast<std::size_t>(layers) *
+        static_cast<std::size_t>(t.spec.kv_heads);
+    const std::vector<float> v_scales(streams, work.vScale());
+    const std::vector<float> logit_scales(streams, work.logitScale());
+    for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(testing::Message() << "threads " << threads);
+        ModelEngine engine(
+            engineConfig(t, /*pipeline=*/true), v_scales, logit_scales,
+            [&work](int layer, int pos, MatrixI8 &k, MatrixI8 &v,
+                    MatrixI8 &q) {
+                work.stageKv(layer, pos, k, v);
+                work.stageQueries(layer, pos, q);
+            },
+            [](const TokenResult &) {});
+        ThreadPool pool(threads);
+        int next = 0;
+        // Feed @p n positions, drain, and return (waves, units).
+        const auto run = [&](int n) {
+            for (int i = 0; i < n; i++)
+                engine.feed(next++, t.spec.prompt_len);
+            const obs::MetricsSnapshot before =
+                obs::Registry::instance().snapshot();
+            int waves = 0;
+            while (engine.advance(&pool))
+                waves++;
+            const obs::MetricsSnapshot d = obs::MetricsSnapshot::delta(
+                before, obs::Registry::instance().snapshot());
+            EXPECT_EQ(d.counter("model.rounds"),
+                      static_cast<uint64_t>(waves));
+            return std::pair(waves, d.counter("model.units"));
+        };
+        const auto units = [&](int blocks) {
+            return static_cast<uint64_t>(layers * (1 + blocks));
+        };
+        EXPECT_EQ(run(1), std::pair(layers, uint64_t(layers)));
+        EXPECT_EQ(run(15), std::pair(layers, uint64_t(layers)));
+        EXPECT_EQ(run(16), std::pair(layers, uint64_t(layers)));
+        EXPECT_EQ(run(17), std::pair(2 * layers, units(2)));
+        EXPECT_EQ(run(33), std::pair(2 * layers, units(3)));
+        EXPECT_EQ(run(18), std::pair(2 * layers, units(2)));
+        ASSERT_EQ(next, t.spec.prompt_len);
+        EXPECT_EQ(run(1), std::pair(layers, uint64_t(layers))); // decode
+        EXPECT_EQ(engine.completed(), t.spec.prompt_len + 1);
     }
 }
 

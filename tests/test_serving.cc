@@ -163,12 +163,14 @@ TEST(KvCache, PagingGeometryAndValueRows)
     EXPECT_EQ(cache.pagePlanes(2).numRows(), 3);
     EXPECT_GT(cache.bytesUsed(), 0u);
 
-    // Value rows are the dequantized floats, addressable globally.
+    // Value rows are the int8 rows as appended, addressable
+    // globally; the value stage applies the config's scale.
+    EXPECT_EQ(cache.config().v_scale, 0.5f);
     for (int t = 0; t < 11; t++) {
         auto v = cache.valueRow(t);
         ASSERT_EQ(static_cast<int>(v.size()), 16);
         for (int d = 0; d < 16; d++)
-            EXPECT_EQ(v[d], 0.5f * vals.at(t, d));
+            EXPECT_EQ(v[d], vals.at(t, d));
     }
 
     // Cached WorkPrefix entries are the running sums of a fresh
@@ -240,9 +242,9 @@ TEST(KvCacheDeathTest, OutOfRangeKeyAbortsInEveryBuild)
 TEST(KvCache, PageBytesAreTheLogicalLayout)
 {
     // Per token a page holds bits key planes of ceil(head_dim / 64)
-    // words each with no padding, one float V row and one 4-byte
-    // WorkPrefix per plane; key rows sit back to back (352 B per
-    // token at head_dim 64 and 8 bits).
+    // words each with no padding, one int8 V row (1 byte per element)
+    // and one 4-byte WorkPrefix per plane; key rows sit back to back
+    // (160 B per token at head_dim 64 and 8 bits).
     for (int head_dim : {1, 63, 64, 65, 128}) {
         for (int bits : {4, 8}) {
             SCOPED_TRACE(testing::Message()
@@ -255,7 +257,7 @@ TEST(KvCache, PageBytesAreTheLogicalLayout)
             const KvPage page(kc);
             EXPECT_EQ(kvPageBytes(page) / kc.page_tokens,
                       static_cast<std::size_t>(bits * words * 8 +
-                                               4 * head_dim + 4 * bits));
+                                               head_dim + 4 * bits));
 
             KvCache cache(kc);
             const MatrixI8 keys = randomInt8(3, head_dim, 40, bits);
@@ -286,7 +288,7 @@ TEST(KvCache, SpansStayValidAcrossAppends)
     const MatrixI8 keys = randomInt8(24, 32, 7);
     const MatrixI8 vals = randomInt8(24, 32, 8);
     cache.appendToken(keys.row(0), vals.row(0));
-    const float *v0 = cache.valueRow(0).data();
+    const int8_t *v0 = cache.valueRow(0).data();
     const uint64_t *p0 = cache.pagePlanes(0).plane(0, 0).data();
     for (int t = 1; t < 24; t++)
         cache.appendToken(keys.row(t), vals.row(t));
