@@ -117,6 +117,11 @@ struct Session
     bool published = false;
     int prefix_hit_tokens = 0;
     std::size_t prefix_bytes_saved = 0;
+    /** Set while waiting: the trace index of the builder, an
+     *  earlier-admitted session that will publish this session's
+     *  next unmatched chain entry. A waiting session holds its slot
+     *  and feeds nothing. */
+    std::optional<std::size_t> builder;
 
     /**
      * Finished = materialized, whole prompt prefilled+scored, every
@@ -133,11 +138,44 @@ struct Session
 };
 
 /**
+ * Adopt the depths of @p match past the ones @p s already holds, and
+ * take match.pages as its acquired depth. The chain that found the
+ * pages is an identity key, not a hash of their bytes
+ * (ModelWorkload::prefixPageChain), so each adopted depth is checked
+ * against the session's own rows: the first V row of stream 0 (layer
+ * 0, KV head 0) must equal the row the session stages at the page's
+ * first position. The check costs one staged position per depth.
+ */
+void
+adoptMatchedPages(Session &s, const PrefixMatch &match,
+                  const BatcherOptions &opt)
+{
+    const std::size_t streams = static_cast<std::size_t>(opt.layers) *
+        static_cast<std::size_t>(opt.kv_heads);
+    const std::span<const std::shared_ptr<const KvPage>> shared(
+        match.shared);
+    MatrixI8 k(opt.kv_heads, opt.head_dim);
+    MatrixI8 v(opt.kv_heads, opt.head_dim);
+    for (int d = s.chain_acquired; d < match.pages; d++) {
+        const auto pages =
+            shared.subspan(static_cast<std::size_t>(d) * streams, streams);
+        s.work->stageKv(0, d * opt.page_tokens, k, v);
+        PADE_CHECK(std::ranges::equal(pages[0]->values.row(0), v.row(0)));
+        s.engine->adoptPrefixPages(pages);
+        for (const auto &page : pages)
+            s.prefix_bytes_saved += kvPageBytes(*page);
+    }
+    s.chain_acquired = match.pages;
+    s.prefilled = match.pages * opt.page_tokens;
+    s.prefix_hit_tokens = s.prefilled;
+}
+
+/**
  * Unit 1 of every session: materialize its whole-model workload
  * (static quantization scales, prefix-pure rows; see ModelWorkload)
  * and model engine, then adopt any prefix pages an earlier
- * session already published. Runs on a pool worker; touches only the
- * session and the (internally mutex'd) prefix index.
+ * session already published. Runs on the scheduler thread: no row is
+ * generated here, so set-up costs a few microseconds.
  */
 void
 materializeSession(Session &s, const BatcherOptions &opt,
@@ -207,18 +245,7 @@ materializeSession(Session &s, const BatcherOptions &opt,
 
         if (index && req.prefix_len >= opt.page_tokens) {
             s.chain = s.work->prefixPageChain(opt.page_tokens);
-            PrefixMatch match = index->acquire(s.chain);
-            s.chain_acquired = match.pages;
-            for (int d = 0; d < match.pages; d++)
-                s.engine->adoptPrefixPages(
-                    std::span<const std::shared_ptr<const KvPage>>(
-                        match.shared)
-                        .subspan(static_cast<std::size_t>(d) * streams,
-                                 streams));
-            s.prefilled = match.pages * opt.page_tokens;
-            s.prefix_hit_tokens = s.prefilled;
-            for (const auto &page : match.shared)
-                s.prefix_bytes_saved += kvPageBytes(*page);
+            adoptMatchedPages(s, index->acquire(s.chain), opt);
         }
     }
 }
@@ -249,6 +276,58 @@ maybePublishPrefix(Session &s, const BatcherOptions &opt,
 }
 
 /**
+ * One builder per cold prefix: @p s waits when a session admitted
+ * before it in @p active (admission order) is neither published nor
+ * waiting and will publish s's next unmatched chain entry; the
+ * earliest such session is its builder. Returns whether s waits.
+ * Every wait ends: the builder is fed every round and publishes
+ * before it can finish.
+ */
+bool
+waitForBuilder(Session &s, std::span<const std::unique_ptr<Session>> active)
+{
+    s.builder.reset();
+    const auto d = static_cast<std::size_t>(s.chain_acquired);
+    if (d >= s.chain.size())
+        return false;
+    for (const auto &bp : active) {
+        const Session &b = *bp;
+        if (&b == &s)
+            break;
+        if (b.published || b.builder ||
+            b.chain_acquired >= static_cast<int>(b.chain.size()) ||
+            d >= b.chain.size() || b.chain[d] != s.chain[d])
+            continue;
+        s.builder = b.index;
+        static obs::Counter &waits =
+            obs::Registry::instance().counter("prefix.waits");
+        waits.add(1);
+        obs::traceInstant("batcher.prefix_wait",
+                          {{"request", static_cast<int64_t>(s.index)},
+                           {"builder", static_cast<int64_t>(b.index)}});
+        return true;
+    }
+    return false;
+}
+
+/**
+ * @p s's builder published: take the chain's longest match again,
+ * adopt the depths it adds and drop the earlier acquisition. A byte
+ * budget may have evicted the new pages already; then s adopts
+ * nothing new and builds, or waits on the next builder.
+ */
+void
+reacquirePrefix(Session &s, const BatcherOptions &opt, PrefixIndex &index)
+{
+    const obs::ScopedSpan span(
+        "batcher.materialize",
+        {{"request", static_cast<int64_t>(s.index)}});
+    const int held = s.chain_acquired;
+    adoptMatchedPages(s, index.acquire(s.chain), opt);
+    index.release(s.chain, held);
+}
+
+/**
  * Positions a resident session feeds its engine this round: one
  * prefill chunk while the prompt is unfinished, one decode token
  * after. Returns the number of *prompt* tokens fed (0 = decode); the
@@ -274,7 +353,6 @@ feedRoundPositions(Session &s, const BatcherOptions &opt)
  *  against microsecond units. */
 struct RoundScratch
 {
-    std::vector<Session *> fresh;
     /** Resident sessions with the prompt tokens each fed this round
      *  (0 = a decode token). */
     std::vector<std::pair<Session *, int>> fed;
@@ -284,10 +362,12 @@ struct RoundScratch
 
 /**
  * One batcher round: every active session advances by exactly one
- * unit — materialize, prefill chunk, or decode token. Fresh sessions
- * materialize in one fan-out; resident sessions feed this round's
- * positions, and their engines drain together through WaveRunner
- * waves (one round per engine per wave, all units in one
+ * unit — materialize, prefill chunk, or decode token — or waits for
+ * its prefix's builder. Fresh sessions materialize inline, in
+ * admission order; a session whose builder published re-acquires its
+ * chain and feeds in the same round; resident sessions feed this
+ * round's positions, and their engines drain together through
+ * WaveRunner waves (one round per engine per wave, all units in one
  * parallelFor). All bookkeeping runs on this, the scheduler, thread.
  * Returns the resident KV bytes summed over the active sessions;
  * adopted prefix pages count once per adopter (the saving is
@@ -298,32 +378,29 @@ runRound(std::vector<std::unique_ptr<Session>> &active,
          const BatcherOptions &opt, ThreadPool &pool, PrefixIndex *index,
          RoundScratch &scratch)
 {
-    scratch.fresh.clear();
     scratch.fed.clear();
     scratch.engines.clear();
     for (const auto &sp : active) {
         Session &s = *sp;
         if (!s.engine) {
-            scratch.fresh.push_back(&s);
+            materializeSession(s, opt, index);
+            waitForBuilder(s, active);
             continue;
+        }
+        if (s.builder) {
+            const bool building = std::ranges::any_of(
+                active, [&](const std::unique_ptr<Session> &b) {
+                    return b->index == *s.builder && !b->published;
+                });
+            if (building)
+                continue;
+            reacquirePrefix(s, opt, *index);
+            // A prefill-only prompt that is all prefix is done now.
+            if (waitForBuilder(s, active) || s.done())
+                continue;
         }
         scratch.fed.emplace_back(&s, feedRoundPositions(s, opt));
         scratch.engines.push_back(&*s.engine);
-    }
-
-    // Workload generation is not engine work, so it stays outside
-    // the waves and their capacity accounting.
-    if (!scratch.fresh.empty()) {
-        const auto mat = [&](int i) {
-            materializeSession(
-                *scratch.fresh[static_cast<std::size_t>(i)], opt, index);
-        };
-        if (pool.threadCount() > 1 && scratch.fresh.size() > 1)
-            parallelFor(pool, static_cast<int>(scratch.fresh.size()),
-                        mat);
-        else
-            for (std::size_t i = 0; i < scratch.fresh.size(); i++)
-                mat(static_cast<int>(i));
     }
 
     scratch.waves.drain(scratch.engines, &pool);

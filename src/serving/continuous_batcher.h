@@ -7,7 +7,8 @@
  * are admitted into a bounded set of active *sessions*, and every
  * scheduling round advances each active session by one unit of work —
  * workload materialization, a scored prefill chunk, or one decoded
- * token. The round's engine work runs as waves (WaveRunner,
+ * token — unless it waits for a shared prefix another session is
+ * building (below). The round's engine work runs as waves (WaveRunner,
  * serving/model_engine.h): each wave opens one round on every
  * resident session's engine and runs all of their units in a single
  * pool-wide parallelFor, so the host saturates on the sessions'
@@ -41,19 +42,37 @@
  * built — decode outputs, and therefore `checksum`, do not depend on
  * whether a prefix hit occurred, and `prefill_checksum` mixes only
  * positions >= the request's prefix_len so both checksums stay
- * thread-count- and timing-invariant.
+ * thread-count- and timing-invariant. The chain names the inputs the
+ * rows are computed from, not their bytes, so every adopted depth's
+ * first V row is checked against the session's own (a PADE_CHECK).
+ *
+ * One builder per cold prefix: a session that misses waits when a
+ * session admitted before it, neither published nor waiting, will
+ * publish its next unmatched chain entry (the earliest such session
+ * is its builder). A waiting session holds its slot and feeds
+ * nothing. Once its builder publishes, it re-acquires its chain,
+ * adopts the new depths, releases its earlier acquisition and feeds
+ * in the same round — or waits on the next builder, when another
+ * session now owns its next entry (a byte budget that evicted the
+ * published pages makes the first such waiter the builder). Every
+ * wait ends: a builder is never waiting, so it is fed every round,
+ * and it publishes before it can finish. Waits are counted in
+ * `prefix.waits` and traced as `batcher.prefix_wait` instants. Only
+ * the admission schedule decides them, so they too are the same at
+ * every thread count.
  *
  * Admission order: priority first (higher `ServingRequest::priority`
  * wins), arrival/trace order as the tie-break — deterministic for any
  * thread count. `SessionStats::admit_seq` records the resulting
  * global admission sequence.
  *
- * Concurrency: pool workers run materializations and wave units,
- * which touch disjoint sessions (and, within a session, the disjoint
- * positions of one chunk's blocks); the prefix index is internally
- * locked. Every other step —
- * feeding, round completion, prefix publication, byte accounting,
- * eviction — runs on the scheduler thread. Admission invariants
+ * Concurrency: pool workers run wave units, which touch disjoint
+ * sessions (and, within a session, the disjoint positions of one
+ * chunk's blocks). Every other step — materialization (a few
+ * microseconds: the prefix key generates no row), prefix lookup,
+ * waiting and re-acquisition, feeding, round completion, prefix
+ * publication, byte accounting, eviction — runs on the scheduler
+ * thread, in admission order. Admission invariants
  * (slot count, prefill chunk, GQA divisibility, trace monotonicity)
  * are PADE_CHECKs: violations abort in Release servers, not only in
  * test builds.
@@ -122,9 +141,10 @@ struct BatcherOptions
     /**
      * Non-empty: enable span recording for the run and write the
      * Chrome trace_event JSON (chrome://tracing / Perfetto) here at
-     * the end. Spans cover batcher rounds, session materialization,
-     * and the waves and units of the engines; admissions and
-     * evictions are instant events.
+     * the end. Spans cover batcher rounds, session materialization
+     * (and a waiter's re-acquisition), and the waves and units of
+     * the engines; admissions, prefix waits and evictions are
+     * instant events.
      * See docs/OBSERVABILITY.md.
      */
     std::string trace_file;

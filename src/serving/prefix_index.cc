@@ -153,10 +153,11 @@ PrefixIndex::publish(
             fresh++;
             it = level->emplace(chain[d], std::move(node)).first;
         } else {
-            // First publisher wins: concurrent sessions building the
-            // same prefix converge on one page set. The chain hash
-            // already attests content equality; re-registering is a
-            // no-op beyond the LRU touch.
+            // First publisher wins: sessions that built the same
+            // prefix converge on one page set. Equal chain entries
+            // already attest equal content (see the keying note in
+            // prefix_index.h); re-registering is a no-op beyond the
+            // LRU touch.
             stats_.rejected++;
             PrefixMetrics::get().rejected.add(1);
             it->second->last_use = tick_;

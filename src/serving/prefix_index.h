@@ -14,11 +14,21 @@
  * is packed and scored once for the whole fleet.
  *
  * Keying: the trie is page-granular. A prompt's identity is its
- * *chain hash* sequence — `chain[d]` hashes page d's token content
- * (all layers, all KV heads, keys and values) mixed with
- * `chain[d-1]`, so equal chains at depth d mean equal prompt content
- * through page d with overwhelming probability, and a node's path is
- * fully determined by its own key. Trie node at depth d stores one
+ * *chain hash* sequence, and `chain[d]` names the inputs page d's
+ * rows are computed from rather than hashing the rows themselves
+ * (ModelWorkload::prefixPageChain): a root over every input a prefix
+ * K/V row is a pure function of — model geometry, bit width, page
+ * size, the importance and sink knobs, and the prefix stream's seed —
+ * mixed with one page index per depth, `chain[d-1]` into `chain[d]`.
+ * Equal inputs give equal rows, so equal chains at depth d mean equal
+ * K/V bytes in pages 0..d with overwhelming probability, at the cost
+ * of one hash per page instead of regenerating every prefix row; and
+ * a node's path is fully determined by its own key. The argument
+ * holds only while the root names every such input:
+ * `PrefixChain.IdentityAgreesWithContent` (tests/test_prefix_index.cc)
+ * varies each spec field against a hash of the bytes, and the batcher
+ * checks each adopted depth's first V row against the session's own
+ * (a PADE_CHECK). Trie node at depth d stores one
  * `shared_ptr<const KvPage>` per stream (layer x kv_head, row-major).
  * Sharing whole pages only is what makes the pages immutable (a full
  * page is never appended to — the KvCache contract); a prefix that
@@ -42,12 +52,13 @@
  * future lookups, it never frees bytes under a live reader.
  *
  * Thread safety: internal. One index is shared by every slot of a
- * batcher run, and sessions step on pool workers, so all public
- * methods serialize on one annotated pade::Mutex (clang
+ * batcher run (the batcher calls it from its scheduler thread only),
+ * and engines driven from several threads may share one too, so all
+ * public methods serialize on one annotated pade::Mutex (clang
  * -Wthread-safety proves the discipline; the TSan CI leg watches it
- * race). Lookups are rare (one per admitted session) and the
- * critical sections are pointer walks — the mutex is nowhere near
- * the per-token hot path.
+ * race). Lookups are rare (one per admitted session, plus one per
+ * prefix wait that ends) and the critical sections are pointer walks
+ * — the mutex is nowhere near the per-token hot path.
  */
 
 #ifndef PADE_SERVING_PREFIX_INDEX_H

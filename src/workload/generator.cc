@@ -1,6 +1,7 @@
 #include "workload/generator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <initializer_list>
@@ -338,41 +339,27 @@ ModelWorkload::stageQueries(int layer, int pos, MatrixI8 &q) const
 std::vector<uint64_t>
 ModelWorkload::prefixPageChain(int page_tokens) const
 {
-    assert(page_tokens >= 1);
+    PADE_CHECK_GE(page_tokens, 1);
     const int pages = spec_.prefix_len / page_tokens;
     std::vector<uint64_t> chain;
-    if (pages == 0)
-        return chain;
     chain.reserve(static_cast<std::size_t>(pages));
 
-    // Root: the geometry fingerprint. Two models whose pages could
-    // never be adopted into each other (different shapes, widths, or
-    // page sizes) must diverge at depth 0.
+    // Root: every input a prefix K/V row is a pure function of (see
+    // keyRow/valueRow and the constructor) — the model geometry, the
+    // page size that cuts rows into pages, the importance and sink
+    // knobs, and the prefix stream. Equal roots therefore mean equal
+    // rows at every prefix position, so one page index per depth
+    // completes the key without generating a row.
     uint64_t h = mixSeed({static_cast<uint64_t>(spec_.layers),
                           static_cast<uint64_t>(spec_.kv_heads),
                           static_cast<uint64_t>(spec_.head_dim),
                           static_cast<uint64_t>(spec_.bits),
-                          static_cast<uint64_t>(page_tokens)});
-    std::vector<std::int8_t> row(
-        static_cast<std::size_t>(spec_.head_dim));
-    const auto mixRow = [&] {
-        for (std::int8_t b : row) {
-            uint64_t state = h + static_cast<std::uint8_t>(b);
-            h = splitMix64(state);
-        }
-    };
+                          static_cast<uint64_t>(page_tokens),
+                          std::bit_cast<uint64_t>(spec_.concentration),
+                          std::bit_cast<uint64_t>(spec_.locality),
+                          spec_.prefix_seed});
     for (int p = 0; p < pages; p++) {
-        for (int pos = p * page_tokens; pos < (p + 1) * page_tokens;
-             pos++) {
-            for (int l = 0; l < spec_.layers; l++) {
-                for (int kv = 0; kv < spec_.kv_heads; kv++) {
-                    keyRow(l, kv, pos, row);
-                    mixRow();
-                    valueRow(l, kv, pos, row);
-                    mixRow();
-                }
-            }
-        }
+        h = mixSeed({h, static_cast<uint64_t>(p)});
         chain.push_back(h);
     }
     return chain;

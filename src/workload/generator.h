@@ -175,12 +175,14 @@ double oracleSparsity(const AttentionHead &head, double mass_epsilon);
  * transformer layers, each with LayerSpec-style GQA geometry, plus an
  * optional *shared prompt prefix*. Positions [0, prefix_len) draw
  * every K/V/Q row from `prefix_seed`; positions beyond draw from
- * `seed` — so two sessions with equal (geometry, prefix_seed,
- * prefix_len) produce byte-identical prefix rows no matter what their
+ * `seed` — so two sessions with equal (geometry, bits,
+ * concentration, locality, prefix_seed) produce byte-identical rows
+ * at every position both prefixes cover, no matter what their
  * suffixes or decode tails are. That per-position stream split is
  * what makes cross-session prefix caching *bit-exact*: a KV page of
  * prefix tokens built by one session is the page every other session
- * would have built.
+ * would have built — and what lets ModelWorkload::prefixPageChain
+ * key the page by those inputs instead of by its bytes.
  */
 struct ModelSpec
 {
@@ -250,11 +252,17 @@ class ModelWorkload
     void stageQueries(int layer, int pos, MatrixI8 &q) const;
 
     /**
-     * Prefix identity chain for page size @p page_tokens: entry d
-     * hashes the K/V bytes of prefix page d across every layer and KV
-     * head, mixed with entry d-1 (and a geometry fingerprint at the
-     * root) — the PrefixIndex key. Length prefix_len / page_tokens;
-     * a non-aligned prefix tail is simply not shareable.
+     * Prefix identity chain for page size @p page_tokens — the
+     * PrefixIndex key. The root hashes every input prefix K/V rows
+     * are a pure function of: layers, kv_heads, head_dim, bits,
+     * page_tokens, the bit patterns of concentration and locality,
+     * and prefix_seed; entry d mixes entry d-1 (the root at d = 0)
+     * with the page index d. Equal entries at depth d thus mean equal
+     * K/V bytes in pages 0..d, at O(pages) cost and without
+     * generating a row (tests/test_prefix_index.cc,
+     * PrefixChain.IdentityAgreesWithContent, checks the chain against
+     * a hash of the bytes themselves). Length prefix_len /
+     * page_tokens; a non-aligned prefix tail is simply not shareable.
      */
     std::vector<uint64_t> prefixPageChain(int page_tokens) const;
 

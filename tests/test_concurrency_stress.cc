@@ -63,7 +63,8 @@ stressTrace(int requests, uint64_t seed)
 /** `pipeline = false` with one thread is the serial oracle. */
 ServingReport
 runStress(const std::vector<ServingRequest> &trace, int threads,
-          bool pipeline = true, bool windowed = false)
+          bool pipeline = true, bool windowed = false,
+          bool prefix_cache = false)
 {
     BatcherOptions opt;
     opt.threads = threads;
@@ -75,6 +76,7 @@ runStress(const std::vector<ServingRequest> &trace, int threads,
     opt.head_dim = 32;
     opt.page_tokens = 16; // small pages => frequent page turnover
     opt.pipeline = pipeline;
+    opt.prefix_cache = prefix_cache;
     if (windowed) {
         // Tight sink+recency window: long prompts stream through it,
         // so the windowed scan order and the middle-page reclamation
@@ -199,6 +201,59 @@ TEST(ConcurrencyStress, WindowedRetentionWavesMatchSerialOracle)
             runStress(trace, threads, /*pipeline=*/true,
                       /*windowed=*/true),
             trace.size());
+    }
+}
+
+TEST(ConcurrencyStress, ColdPrefixBuildersMatchSerialOracle)
+{
+    // Sessions admitted together on two cold 3-page prefixes: one
+    // session builds each prefix while the rest of its group wait in
+    // their slots, then re-acquire the chain and feed. Waiting,
+    // re-acquisition and publication run on the scheduler thread
+    // between waves, while the builders' units run on the pool.
+    // Outputs must match the cache-free serial oracle, and the
+    // schedule must not move with the thread count.
+    TraceSpec ts;
+    ts.num_requests = 12;
+    ts.rate_per_s = 8000.0;
+    ts.prompt_min = 4;
+    ts.prompt_max = 20;
+    ts.decode_min = 2;
+    ts.decode_max = 6;
+    ts.prefix_groups = 2;
+    ts.prefix_tokens = 48; // 3 pages of 16
+    ts.seed = 4242;
+    const std::vector<ServingRequest> trace = poissonArrivalTrace(ts);
+    const ServingReport oracle =
+        runStress(trace, 1, /*pipeline=*/false);
+    const auto waits = [&](int threads) {
+        const obs::MetricsSnapshot before =
+            obs::Registry::instance().snapshot();
+        const ServingReport rep =
+            runStress(trace, threads, /*pipeline=*/true,
+                      /*windowed=*/false, /*prefix_cache=*/true);
+        return std::pair(rep, obs::MetricsSnapshot::delta(
+                                  before,
+                                  obs::Registry::instance().snapshot())
+                                  .counter("prefix.waits"));
+    };
+    const auto [first, first_waits] = waits(1);
+    EXPECT_GT(first_waits, 0u);
+    EXPECT_GT(first.tokens_prefix_hit, 0u);
+    for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(threads);
+        const auto [rep, n] = waits(threads);
+        EXPECT_EQ(rep.checksum, oracle.checksum);
+        EXPECT_EQ(rep.prefill_checksum, oracle.prefill_checksum);
+        for (std::size_t i = 0; i < trace.size(); i++) {
+            EXPECT_EQ(rep.sessions[i].checksum,
+                      oracle.sessions[i].checksum);
+            EXPECT_EQ(rep.sessions[i].prefill_checksum,
+                      oracle.sessions[i].prefill_checksum);
+        }
+        expectReportsIdentical(first, rep, trace.size());
+        EXPECT_EQ(rep.tokens_prefix_hit, first.tokens_prefix_hit);
+        EXPECT_EQ(n, first_waits);
     }
 }
 

@@ -6,17 +6,24 @@
  * LRU-leaf eviction rule that a shared node may only disappear once
  * its last reader detached — while the page *memory* additionally
  * survives any index eviction as long as a cache references it.
+ * PrefixChain checks the index's key, ModelWorkload::prefixPageChain,
+ * against a hash of the K/V bytes it stands for.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "serving/kv_cache.h"
 #include "serving/prefix_index.h"
+#include "workload/generator.h"
 
 namespace pade {
 namespace {
@@ -230,6 +237,129 @@ TEST(PrefixIndex, EvictionNeverOrphansDeeperMatches)
     const PrefixIndexStats st = index.stats();
     EXPECT_EQ(st.nodes, 2);
     EXPECT_LE(st.bytes, opt.max_bytes);
+}
+
+/**
+ * The oracle of prefixPageChain(): entry d hashes the K and V bytes of
+ * prefix page d, every layer and KV head, mixed with entry d-1, from a
+ * root over the page geometry. It generates every prefix row, which is
+ * what the identity chain avoids.
+ */
+std::vector<uint64_t>
+contentPageChain(const ModelWorkload &work, int page_tokens)
+{
+    const ModelSpec &spec = work.spec();
+    uint64_t h = 0;
+    const auto mix = [&h](uint64_t word) {
+        uint64_t state = h + word;
+        h = splitMix64(state);
+    };
+    for (const int g : {spec.layers, spec.kv_heads, spec.head_dim,
+                        spec.bits, page_tokens})
+        mix(static_cast<uint64_t>(g));
+    MatrixI8 k(spec.kv_heads, spec.head_dim);
+    MatrixI8 v(spec.kv_heads, spec.head_dim);
+    std::vector<uint64_t> chain;
+    for (int p = 0; p < spec.prefix_len / page_tokens; p++) {
+        for (int pos = p * page_tokens; pos < (p + 1) * page_tokens;
+             pos++) {
+            for (int l = 0; l < spec.layers; l++) {
+                work.stageKv(l, pos, k, v);
+                for (int kv = 0; kv < spec.kv_heads; kv++) {
+                    for (const int8_t b : k.row(kv))
+                        mix(static_cast<uint8_t>(b));
+                    for (const int8_t b : v.row(kv))
+                        mix(static_cast<uint8_t>(b));
+                }
+            }
+        }
+        chain.push_back(h);
+    }
+    return chain;
+}
+
+/** Page size of the PrefixChain cases. */
+constexpr int kPage = 8;
+
+TEST(PrefixChain, IdentityAgreesWithContent)
+{
+    // One field of a base spec varied at a time. At every depth two
+    // identity chains must agree exactly when the byte chains agree:
+    // an identity match the bytes deny would adopt foreign pages, and
+    // a byte match the identities deny would lose a hit.
+    ModelSpec base;
+    base.layers = 2;
+    base.heads = 4;
+    base.kv_heads = 2;
+    base.head_dim = 16;
+    base.prompt_len = 40;
+    base.decode_steps = 3;
+    base.bits = 8;
+    base.prefix_len = 24; // 3 pages of 8
+    base.prefix_seed = 0x5eed;
+    base.seed = 7;
+
+    struct Case
+    {
+        std::string name;
+        ModelSpec spec;
+        int page_tokens = 0;
+        bool same_rows = false; //!< prefix rows equal the base's
+    };
+    std::vector<Case> cases{{"base", base, kPage, true}};
+    const auto vary = [&](std::string name, bool same_rows, auto edit,
+                          int page_tokens = kPage) {
+        Case c{std::move(name), base, page_tokens, same_rows};
+        edit(c.spec);
+        cases.push_back(c);
+    };
+    vary("prefix_seed", false, [](ModelSpec &s) { s.prefix_seed++; });
+    vary("seed", true, [](ModelSpec &s) { s.seed++; });
+    vary("heads", true, [](ModelSpec &s) { s.heads = 2; });
+    vary("prompt_len", true, [](ModelSpec &s) { s.prompt_len = 64; });
+    vary("decode_steps", true, [](ModelSpec &s) { s.decode_steps = 0; });
+    vary("prefix_len 2 pages", true,
+         [](ModelSpec &s) { s.prefix_len = 2 * kPage; });
+    vary("prefix_len 3 pages + 7", true,
+         [](ModelSpec &s) { s.prefix_len = 3 * kPage + 7; });
+    vary("prefix_len 4 pages", true,
+         [](ModelSpec &s) { s.prefix_len = 4 * kPage; });
+    vary("concentration", false,
+         [](ModelSpec &s) { s.concentration = 1.6; });
+    vary("locality", false, [](ModelSpec &s) { s.locality = 0.7; });
+    vary("bits 4", false, [](ModelSpec &s) { s.bits = 4; });
+    vary("head_dim", false, [](ModelSpec &s) { s.head_dim = 32; });
+    vary("layers", false, [](ModelSpec &s) { s.layers = 1; });
+    vary("kv_heads", false, [](ModelSpec &s) { s.kv_heads = 1; });
+    vary("page_tokens", false, [](ModelSpec &) {}, kPage / 2);
+
+    std::vector<std::vector<uint64_t>> content;
+    std::vector<std::vector<uint64_t>> identity;
+    for (const Case &c : cases) {
+        const ModelWorkload work(c.spec);
+        content.push_back(contentPageChain(work, c.page_tokens));
+        identity.push_back(work.prefixPageChain(c.page_tokens));
+        ASSERT_EQ(identity.back().size(), content.back().size())
+            << c.name;
+        ASSERT_GE(content.back().size(), 2u) << c.name;
+    }
+    // The cases hold both kinds of pair, so the agreement below is
+    // tested in both directions.
+    for (std::size_t i = 0; i < cases.size(); i++)
+        EXPECT_EQ(content[i][0] == content[0][0], cases[i].same_rows)
+            << cases[i].name;
+
+    for (std::size_t i = 0; i < cases.size(); i++) {
+        for (std::size_t j = i + 1; j < cases.size(); j++) {
+            const std::size_t depth =
+                std::min(content[i].size(), content[j].size());
+            for (std::size_t d = 0; d < depth; d++)
+                EXPECT_EQ(identity[i][d] == identity[j][d],
+                          content[i][d] == content[j][d])
+                    << cases[i].name << " vs " << cases[j].name
+                    << " at depth " << d;
+        }
+    }
 }
 
 } // namespace

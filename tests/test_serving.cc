@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/pade_attention.h"
 #include "core/simd/qk_dispatch.h"
+#include "obs/telemetry.h"
 #include "serving/continuous_batcher.h"
 #include "serving/decode_engine.h"
 #include "serving/kv_cache.h"
@@ -789,6 +791,259 @@ TEST(ContinuousBatcher, PrefixCacheSavesWorkWithoutChangingOutputs)
         else
             EXPECT_EQ(warm.sessions[i].prefix_hit_tokens, 16);
     }
+}
+
+// ---------------------------------------------------------------------
+// One builder per cold prefix: sessions that miss on a prefix an
+// earlier-admitted session is building wait for its pages.
+// ---------------------------------------------------------------------
+
+/** Page size of the cold-prefix tests; their prefixes are 2 or 4
+ *  pages. */
+constexpr int kColdPage = 8;
+
+/** A 2-layer GQA model with a small page, a fixed virtual clock and
+ *  the prefix cache on. */
+BatcherOptions
+coldPrefixOptions(int threads)
+{
+    BatcherOptions opt;
+    opt.threads = threads;
+    opt.max_active = 4;
+    opt.layers = 2;
+    opt.heads = 4;
+    opt.kv_heads = 2;
+    opt.head_dim = 16;
+    opt.page_tokens = kColdPage;
+    opt.prefill_chunk = 8;
+    opt.prefix_cache = true;
+    opt.fixed_round_ms = 0.25;
+    return opt;
+}
+
+/** Streams (layers x KV heads) of coldPrefixOptions(). */
+constexpr uint64_t kColdStreams = 4;
+
+ServingRequest
+prefixedRequest(int prefix_len, int suffix, int decode_steps,
+                uint64_t prefix_seed, uint64_t seed)
+{
+    ServingRequest req;
+    req.prompt_len = prefix_len + suffix;
+    req.decode_steps = decode_steps;
+    req.prefix_len = prefix_len;
+    req.prefix_seed = prefix_seed;
+    req.seed = seed;
+    return req;
+}
+
+/** One run with the registry activity it caused. */
+struct CountedRun
+{
+    ServingReport report;
+    obs::MetricsSnapshot delta;
+
+    uint64_t
+    count(std::string_view name) const
+    {
+        return delta.counter(name);
+    }
+};
+
+CountedRun
+runCounted(const BatcherOptions &opt,
+           const std::vector<ServingRequest> &trace)
+{
+    const obs::MetricsSnapshot before =
+        obs::Registry::instance().snapshot();
+    CountedRun run;
+    run.report = ContinuousBatcher(opt).run(trace);
+    run.delta = obs::MetricsSnapshot::delta(
+        before, obs::Registry::instance().snapshot());
+    return run;
+}
+
+/** Per-session outputs of @p got equal @p want's. */
+void
+expectSameOutputs(const ServingReport &want, const ServingReport &got)
+{
+    ASSERT_EQ(want.sessions.size(), got.sessions.size());
+    EXPECT_EQ(want.tokens_decoded, got.tokens_decoded);
+    EXPECT_EQ(want.tokens_prefilled, got.tokens_prefilled);
+    for (std::size_t i = 0; i < want.sessions.size(); i++) {
+        EXPECT_EQ(want.sessions[i].checksum, got.sessions[i].checksum)
+            << "session " << i;
+        EXPECT_EQ(want.sessions[i].prefill_checksum,
+                  got.sessions[i].prefill_checksum)
+            << "session " << i;
+    }
+}
+
+/**
+ * Serve @p trace with @p opt at threads {1, 2, 8}; check every run's
+ * outputs against the prefix_cache = false run's and the serial
+ * oracle's (one thread, one slot, pipeline off), and pass each run to
+ * @p check.
+ */
+template <typename Check>
+void
+forColdPrefixRuns(BatcherOptions opt,
+                  const std::vector<ServingRequest> &trace, Check check)
+{
+    BatcherOptions off = opt;
+    off.prefix_cache = false;
+    BatcherOptions oracle = off;
+    oracle.threads = 1;
+    oracle.max_active = 1;
+    oracle.pipeline = false;
+    const CountedRun cold = runCounted(off, trace);
+    const ServingReport serial = ContinuousBatcher(oracle).run(trace);
+    EXPECT_NE(cold.report.checksum | cold.report.prefill_checksum, 0u);
+    for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(threads);
+        opt.threads = threads;
+        const CountedRun warm = runCounted(opt, trace);
+        expectSameOutputs(cold.report, warm.report);
+        expectSameOutputs(serial, warm.report);
+        check(warm, cold);
+    }
+}
+
+TEST(ContinuousBatcher, ColdPrefixIsBuiltOnce)
+{
+    // Four sessions admitted together on one cold 4-page prefix: the
+    // first builds it, the other three wait in their slots, then
+    // adopt all four pages and feed only their suffixes.
+    const int prefix = 4 * kColdPage;
+    std::vector<ServingRequest> trace;
+    const int suffix[] = {5, 9, 12, 3};
+    for (int i = 0; i < 4; i++)
+        trace.push_back(prefixedRequest(prefix, suffix[i], 2 + i % 2,
+                                        0xc01d, 100 + i));
+    forColdPrefixRuns(
+        coldPrefixOptions(1), trace,
+        [&](const CountedRun &warm, const CountedRun &cold) {
+            EXPECT_EQ(warm.count("prefix.waits"), 3u);
+            EXPECT_EQ(cold.count("kv.tokens_appended") -
+                          warm.count("kv.tokens_appended"),
+                      3 * prefix * kColdStreams);
+            EXPECT_EQ(warm.report.tokens_prefix_hit, 3u * prefix);
+            EXPECT_EQ(warm.report.prefix.lookups, 4u + 3u);
+            EXPECT_EQ(warm.report.prefix.hit_pages, 3u * 4u);
+            EXPECT_EQ(warm.report.prefix.published, 4u);
+            for (const SessionStats &s : warm.report.sessions)
+                EXPECT_EQ(s.prefix_hit_tokens,
+                          s.admit_seq == 0 ? 0 : prefix);
+        });
+}
+
+TEST(ContinuousBatcher, WaiterAdoptsShorterBuilderPrefixAndBuildsTheRest)
+{
+    // The waiter's prefix is 2 pages longer than its builder's: it
+    // adopts the builder's 2 pages and builds the other 2 itself. A
+    // third session on another document has no builder; it shares no
+    // page with the first two, which the batcher's adoption check
+    // would catch if their chains collided.
+    const int shorter = 2 * kColdPage;
+    const int longer = 4 * kColdPage;
+    const std::vector<ServingRequest> trace{
+        prefixedRequest(shorter, 6, 2, 0xd0c, 200),
+        prefixedRequest(longer, 4, 3, 0xd0c, 201),
+        prefixedRequest(longer, 7, 2, 0xd0c + 1, 202)};
+    forColdPrefixRuns(
+        coldPrefixOptions(1), trace,
+        [&](const CountedRun &warm, const CountedRun &cold) {
+            EXPECT_EQ(warm.count("prefix.waits"), 1u);
+            EXPECT_EQ(cold.count("kv.tokens_appended") -
+                          warm.count("kv.tokens_appended"),
+                      shorter * kColdStreams);
+            const std::vector<SessionStats> &s = warm.report.sessions;
+            EXPECT_EQ(s[0].prefix_hit_tokens, 0);
+            EXPECT_EQ(s[1].prefix_hit_tokens, shorter);
+            EXPECT_EQ(s[2].prefix_hit_tokens, 0);
+            // 2 depths by the builder, the waiter's other 2, and the
+            // other document's 4.
+            EXPECT_EQ(warm.report.prefix.published, 8u);
+            EXPECT_EQ(warm.report.prefix.lookups, 3u + 1u);
+        });
+}
+
+TEST(ContinuousBatcher, BudgetEvictionAtPublishHandsTheBuildOn)
+{
+    // A budget below one page depth evicts every page a builder
+    // publishes, so each waiter that re-acquires misses: the first
+    // becomes the builder and the rest wait on it, until every
+    // session has built the prefix once.
+    const int prefix = 4 * kColdPage;
+    std::vector<ServingRequest> trace;
+    for (int i = 0; i < 4; i++)
+        trace.push_back(
+            prefixedRequest(prefix, 3 + i, 2, 0xb0d, 300 + i));
+    BatcherOptions opt = coldPrefixOptions(1);
+    opt.prefix_cache_bytes = 1;
+    forColdPrefixRuns(
+        opt, trace, [&](const CountedRun &warm, const CountedRun &cold) {
+            // 3 waits on session 0, 2 on session 1, 1 on session 2.
+            EXPECT_EQ(warm.count("prefix.waits"), 6u);
+            EXPECT_EQ(warm.count("kv.tokens_appended"),
+                      cold.count("kv.tokens_appended"));
+            EXPECT_EQ(warm.report.tokens_prefix_hit, 0u);
+            EXPECT_EQ(warm.report.prefix.lookups, 4u + 3u + 2u + 1u);
+            EXPECT_EQ(warm.report.prefix.published, 4u * 4u);
+            EXPECT_EQ(warm.report.prefix.evictions, 4u * 4u);
+            EXPECT_EQ(warm.report.prefix.nodes, 0);
+        });
+}
+
+TEST(ContinuousBatcher, WaiterHoldsItsSlotWhileTheQueueWaits)
+{
+    // Two slots, three sessions on one cold prefix: the second waits
+    // in its slot, the third is admitted once a slot frees and finds
+    // the whole prefix published.
+    const int prefix = 4 * kColdPage;
+    const std::vector<ServingRequest> trace{
+        prefixedRequest(prefix, 5, 3, 0x5107, 400),
+        prefixedRequest(prefix, 2, 2, 0x5107, 401),
+        prefixedRequest(prefix, 9, 2, 0x5107, 402)};
+    BatcherOptions opt = coldPrefixOptions(1);
+    opt.max_active = 2;
+    forColdPrefixRuns(
+        opt, trace, [&](const CountedRun &warm, const CountedRun &cold) {
+            EXPECT_EQ(warm.report.peak_active, 2);
+            EXPECT_EQ(warm.count("prefix.waits"), 1u);
+            EXPECT_EQ(cold.count("kv.tokens_appended") -
+                          warm.count("kv.tokens_appended"),
+                      2 * prefix * kColdStreams);
+            for (const SessionStats &s : warm.report.sessions)
+                EXPECT_EQ(s.prefix_hit_tokens,
+                          s.admit_seq == 0 ? 0 : prefix);
+        });
+}
+
+TEST(ContinuousBatcher, PrefillOnlyWaiterFinishes)
+{
+    // decode_steps 0 waiters: one whose prompt is exactly the prefix
+    // has nothing left to feed once it adopts the pages, one with a
+    // suffix prefills it; neither emits a decode token.
+    const int prefix = 4 * kColdPage;
+    const std::vector<ServingRequest> trace{
+        prefixedRequest(prefix, 5, 2, 0xf111, 500),
+        prefixedRequest(prefix, 0, 0, 0xf111, 501),
+        prefixedRequest(prefix, 6, 0, 0xf111, 502)};
+    forColdPrefixRuns(
+        coldPrefixOptions(1), trace,
+        [&](const CountedRun &warm, const CountedRun &) {
+            EXPECT_EQ(warm.count("prefix.waits"), 2u);
+            EXPECT_EQ(warm.report.tokens_decoded, 2u);
+            const std::vector<SessionStats> &s = warm.report.sessions;
+            for (std::size_t i = 1; i < s.size(); i++) {
+                EXPECT_EQ(s[i].prefix_hit_tokens, prefix);
+                EXPECT_LT(s[i].first_token_ms, 0.0);
+                EXPECT_GE(s[i].finish_ms, s[i].admit_ms);
+            }
+            EXPECT_EQ(s[1].prefill_checksum, 0u);
+            EXPECT_NE(s[2].prefill_checksum, 0u);
+        });
 }
 
 TEST(PoissonTrace, PriorityClassesAreDeterministicAndBounded)

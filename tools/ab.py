@@ -3,6 +3,7 @@
 
     python3 tools/ab.py BASE CHANGE [--workloads chat,long_prefill]
                         [--seeds 321-330] [--seconds 12] [--trace 0]
+                        [--same-counts]
 
 Checks each revision out into its own git worktree under a temporary
 directory, builds it through its own servbench/run.py, and runs every
@@ -20,8 +21,10 @@ they include run.py's no-op rebuild), and the `counts` keys that
 differ between the two sides for each seed.
 
 Exits nonzero when a build or run fails, or when a run reports
-"correct": false or a "failed" count above 0. Standard library only;
-it never touches the network.
+"correct": false or a "failed" count above 0. With --same-counts, a
+change that claims identical work, it also exits nonzero when any
+seed's `counts` lines differ. Standard library only; it never touches
+the network.
 """
 
 import argparse
@@ -96,7 +99,8 @@ def fmt(x):
 
 
 def report(workload, seeds, runs, metrics):
-    """Print one workload's table; runs[side] lists per-seed tuples."""
+    """Print one workload's table; runs[side] lists per-seed tuples.
+    Returns whether every seed's `counts` lines were identical."""
     print(f"\n== {workload}: {len(seeds)} pairs, seeds "
           f"{','.join(map(str, seeds))}")
     print(f"{'metric':<28}{'base median [q1-q3]':>32}"
@@ -124,12 +128,15 @@ def report(workload, seeds, runs, metrics):
     ctx = {s: statistics.median(r[2] for r in runs[s]) for s in SIDES}
     print(f"voluntary context switches per run (median): "
           f"base {ctx['base']:.0f}, change {ctx['change']:.0f}")
+    same = True
     for i, seed in enumerate(seeds):
         b, c = runs["base"][i][0] or {}, runs["change"][i][0] or {}
         diff = [f"{k} {b.get(k)} -> {c.get(k)}"
                 for k in sorted(set(b) | set(c)) if b.get(k) != c.get(k)]
+        same &= not diff
         print(f"counts seed {seed}: "
               f"{'; '.join(diff) if diff else 'identical'}")
+    return same
 
 
 def main():
@@ -141,6 +148,8 @@ def main():
                     help="pairs to run, e.g. 321-330 or 1,7")
     ap.add_argument("--seconds", type=int, default=12)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--same-counts", action="store_true",
+                    help="fail when any seed's counts lines differ")
     args = ap.parse_args()
 
     seeds = parse_seeds(args.seeds)
@@ -178,7 +187,11 @@ def main():
                     print(f"  {workload} seed {seed} {side}: "
                           f"correct {result.get('correct')} failed "
                           f"{result.get('failed')}", flush=True)
-            report(workload, seeds, runs, metrics)
+            if not report(workload, seeds, runs, metrics) and \
+                    args.same_counts:
+                print(f"ab: {workload} counts differ under --same-counts",
+                      file=sys.stderr)
+                ok = False
     except (RuntimeError, subprocess.CalledProcessError) as err:
         print(f"ab: {err}", file=sys.stderr)
         ok = False
